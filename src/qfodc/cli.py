@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import dual, fodc, linalg, rmat
-from .coordalg import CoordElem, YoungWeight, weyl_dim
+from .coordalg import CoordElem, YoungWeight, peter_weyl_rank
 from .cyclotomic import InvalidCharacterError, admissible_zeta
 from .dual import Policy, RankUnstableError, Workspace
 from .scalar import FieldConfig, UnsupportedConfigError
@@ -31,6 +31,14 @@ CLAIMS = (
 )
 
 
+def positive_int(text):
+    """argparse type for degrees: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser():
     p = argparse.ArgumentParser(
         prog="qfodc",
@@ -45,11 +53,15 @@ def make_parser():
             "--n", type=int, required=True,
             help="matrix size N for sl (SL_q(N)); rank n for sp (Sp_q(2n))",
         )
-        sp.add_argument("--zeta", default="1", help="1, -1, i, -i, or w[k] for zeta_N^k")
-        sp.add_argument("--degree", type=int, default=None, help="certification degree")
-        sp.add_argument("--d-max", type=int, default=6)
+        sp.add_argument("--zeta", default="1",
+                        help="1, -1, i, -i, or w[k] for zeta_N^k (write --zeta=-i)")
+        sp.add_argument("--d-max", type=positive_int, default=6)
         sp.add_argument("--format", choices=("json", "markdown"), default="json")
         sp.add_argument("--out", default=None, help="write the report to FILE")
+
+    def degree_option(sp):
+        sp.add_argument("--degree", type=positive_int, default=None,
+                        help="certification degree")
 
     b = sub.add_parser("build", help="construct Gamma_zeta(v) and report its data")
     common(b)
@@ -57,11 +69,13 @@ def make_parser():
 
     v = sub.add_parser("verify", help="run a named verification claim")
     common(v)
+    degree_option(v)
     v.add_argument("--claim", choices=CLAIMS, required=True)
     v.add_argument("--corep", default="u")
 
     c = sub.add_parser("classify", help="decompose a quantum Lie algebra")
     common(c)
+    degree_option(c)
     c.add_argument("--corep", default=None, help="classify X_zeta(corep)")
     c.add_argument("--central", default=None,
                    help="classify the span generated by the central element "
@@ -121,69 +135,6 @@ def emit(args, payload, status):
 
 
 # ---------------------------------------------------------------------------
-# the Peter-Weyl rank oracle for factorizability
-# ---------------------------------------------------------------------------
-
-def _tensor_with_vector(config, frames):
-    """Classical decomposition: frames of V(omega_1) (x) V(frame)."""
-    n = config.rank
-    out = set()
-    for fr in frames:
-        lam = fr.partition(n) + [0]
-        # add a box in any row keeping a valid partition
-        for i in range(len(lam)):
-            nl = list(lam)
-            nl[i] += 1
-            if i > 0 and nl[i] > nl[i - 1]:
-                continue
-            if config.series == "A":
-                if nl[-1]:  # strip full columns of height N
-                    if all(x >= nl[-1] for x in nl):
-                        base = nl[-1]
-                        nl = [x - base for x in nl]
-                if len([x for x in nl if x]) > n:
-                    continue
-                out.add(_partition_to_frame(nl[:n], n))
-            else:
-                if len([x for x in nl[:-1] if x]) > n or nl[-1]:
-                    continue
-                out.add(_partition_to_frame(nl[:n], n))
-        if config.series == "C":
-            # the symplectic vector representation also removes a box
-            for i in range(len(lam)):
-                nl = list(lam)
-                nl[i] -= 1
-                if nl[i] < 0 or (i + 1 < len(nl) and nl[i] < nl[i + 1]):
-                    continue
-                out.add(_partition_to_frame(nl[:n], n))
-    return out
-
-
-def _partition_to_frame(lam, n):
-    m = [0] * n
-    for i in range(n):
-        cur = lam[i]
-        nxt = lam[i + 1] if i + 1 < len(lam) else 0
-        m[i] = cur - nxt
-    while m and not m[-1]:
-        m.pop()
-    return YoungWeight(tuple(m))
-
-
-def peter_weyl_rank(config, degree):
-    """Independent oracle: the rank of the factorizability Gram matrix on
-    words of degree <= degree equals sum (dim V(lambda))^2 over the frames
-    appearing in the tensor powers u^{(x) m}, m <= degree (classical
-    branching, which the quantum case matches)."""
-    frames = {YoungWeight(())}
-    layer = {YoungWeight(())}
-    for _ in range(degree):
-        layer = _tensor_with_vector(config, layer)
-        frames |= layer
-    return sum(weyl_dim(fr, config) ** 2 for fr in frames)
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -213,7 +164,7 @@ def cmd_classify(args):
     ws = Workspace(config, _policy(args))
     zeta = parse_zeta(config, args.zeta)
     policy = ws.policy
-    degree = args.degree or (policy.start_degree + 1)
+    degree = policy.start_degree + 1 if args.degree is None else args.degree
     if args.central:
         v = ws.corep(args.central)
         c = fodc.central_element(ws, v, zeta)
@@ -260,10 +211,7 @@ def cmd_report(args):
 
 
 def _policy(args):
-    kw = {}
-    if args.d_max:
-        kw["d_max"] = args.d_max
-    return Policy(**kw)
+    return Policy(d_max=args.d_max)
 
 
 def cmd_verify(args):
@@ -283,7 +231,7 @@ def cmd_verify(args):
 
 
 def _verify_minor_tau(ws, args):
-    degree = args.degree or 4
+    degree = 4 if args.degree is None else args.degree
     config = ws.config
     ks = range(1, config.rank + 1) if config.series == "A" else (1,)
     results = {}
@@ -301,7 +249,7 @@ def _verify_minor_tau(ws, args):
 
 def _verify_centrality(ws, args):
     zeta = parse_zeta(ws.config, args.zeta)
-    degree = args.degree or 3
+    degree = 3 if args.degree is None else args.degree
     v = ws.corep(args.corep)
     c = fodc.central_element(ws, v, zeta)
     central = fodc.is_central(ws, c, degree)
@@ -321,7 +269,7 @@ def _verify_centrality(ws, args):
 
 
 def _verify_tensor_identity(ws, args):
-    degree = args.degree or 3
+    degree = 3 if args.degree is None else args.degree
     u = ws.corep("u")
     ok, deg = fodc.tensor_identity_check(ws, u, u, degree)
     return ok, {"degree": deg}
@@ -329,7 +277,7 @@ def _verify_tensor_identity(ws, args):
 
 def _verify_coideal(ws, args):
     zeta = parse_zeta(ws.config, args.zeta)
-    degree = args.degree or 3
+    degree = 3 if args.degree is None else args.degree
     v = ws.corep(args.corep)
     lie = fodc.QuantumLieAlgebra(ws, v, zeta)
     ok, deg = lie.coideal_certificate(degree)
@@ -356,7 +304,7 @@ def _verify_leibniz(ws, args):
 
 
 def _verify_factorizability(ws, args):
-    degree = args.degree or 2
+    degree = 2 if args.degree is None else args.degree
     words = dual.all_words(ws.N, degree)
     gram = []
     for wi in words:
@@ -394,16 +342,13 @@ def _verify_direct_sum(ws, args):
 
 def _verify_central_generates(ws, args):
     zeta = parse_zeta(ws.config, args.zeta)
-    degree = args.degree or 3
+    degree = 3 if args.degree is None else args.degree
     v = ws.corep(args.corep)
     c = fodc.central_element(ws, v, zeta)
     gens = fodc.quantum_lie_from_central(ws, c)
     rows_c = ws.eval_rows(gens, degree)
     lie = fodc.QuantumLieAlgebra(ws, v, zeta)
-    rows_x = lie.rows(degree)
-    ra = linalg.rank(rows_c)
-    rb = linalg.rank([r for r in rows_x if r])
-    rab = linalg.rank(rows_c + rows_x)
+    (ra, rb), rab = linalg.span_ranks(rows_c, lie.rows(degree))
     ok = ra == rb == rab
     return ok, {"rank_central": ra, "rank_lie": rb, "rank_union": rab, "degree": degree}
 

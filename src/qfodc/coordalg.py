@@ -1,6 +1,7 @@
 """The coordinate algebra O(G_q) as a free word algebra with Hopf structure
 on generators, the quantum exterior algebra, quantum minors and matrix
-corepresentations.
+corepresentations, plus the classical Weyl dimension formula and the
+Peter-Weyl counting oracle built on it.
 
 Elements are formal linear combinations of words in the generators u^i_j;
 no quotient is ever taken.  The defining relations of O(G_q) enter only
@@ -132,14 +133,6 @@ class CoordElem:
         return f"CoordElem({self})"
 
 
-def multiply(a, b):
-    return a * b
-
-
-def counit(a):
-    return a.counit()
-
-
 def coproduct_splits(w, N):
     """All comatrix splittings of a word: Delta(u^i_j) = u^i_k (x) u^k_j.
 
@@ -269,12 +262,6 @@ def quantum_minors(N, k, relations):
             add = CoordElem.from_word(word, coeff)
             out[key] = add if cur is None else cur + add
     return out
-
-
-def principal_minor(N, k, relations):
-    """D_{q,k}: the minor with I = J = (1, ..., k)."""
-    key = tuple(range(1, k + 1))
-    return quantum_minors(N, k, relations)[(key, key)]
 
 
 # ---------------------------------------------------------------------------
@@ -414,44 +401,6 @@ def projected_corep(parent, pmat, labels, label, frame=None, irreducible=None,
 
 
 # ---------------------------------------------------------------------------
-# config-level convenience surfaces (each backed by a cached workspace)
-# ---------------------------------------------------------------------------
-
-_WORKSPACES = {}
-
-
-def _workspace(config):
-    from .dual import Workspace
-
-    key = (config.series, config.N, config.z_choice)
-    if key not in _WORKSPACES:
-        _WORKSPACES[key] = Workspace(config)
-    return _WORKSPACES[key]
-
-
-def antipode_generators(config):
-    """Generator antipode table S(u^i_j), pinned by the antipode-axiom
-    oracle under dual separation."""
-    return _workspace(config).antipode_table()
-
-
-def antipode(config, a):
-    """The antipode of a CoordElem, as a linear anti-automorphism."""
-    return apply_antipode(a, antipode_generators(config))
-
-
-def exterior_coaction(config, k):
-    """All size-k quantum minors {(J, I): D^J_I}."""
-    return _workspace(config).minor_table(k)
-
-
-def minor(config, rows, cols):
-    """The quantum minor D^rows_cols for increasing index tuples."""
-    rows, cols = tuple(rows), tuple(cols)
-    return exterior_coaction(config, len(rows))[(rows, cols)]
-
-
-# ---------------------------------------------------------------------------
 # Young weights and the classical Weyl dimension formula
 # ---------------------------------------------------------------------------
 
@@ -514,3 +463,66 @@ def weyl_dim(weight, config):
             den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
     assert num % den == 0
     return num // den
+
+
+# ---------------------------------------------------------------------------
+# the Peter-Weyl rank oracle for factorizability
+# ---------------------------------------------------------------------------
+
+def _tensor_with_vector(config, frames):
+    """Classical decomposition: frames of V(omega_1) (x) V(frame)."""
+    n = config.rank
+    out = set()
+    for fr in frames:
+        lam = fr.partition(n) + [0]
+        # add a box in any row keeping a valid partition
+        for i in range(len(lam)):
+            nl = list(lam)
+            nl[i] += 1
+            if i > 0 and nl[i] > nl[i - 1]:
+                continue
+            if config.series == "A":
+                if nl[-1]:  # strip full columns of height N
+                    if all(x >= nl[-1] for x in nl):
+                        base = nl[-1]
+                        nl = [x - base for x in nl]
+                if len([x for x in nl if x]) > n:
+                    continue
+                out.add(_partition_to_frame(nl[:n], n))
+            else:
+                if len([x for x in nl[:-1] if x]) > n or nl[-1]:
+                    continue
+                out.add(_partition_to_frame(nl[:n], n))
+        if config.series == "C":
+            # the symplectic vector representation also removes a box
+            for i in range(len(lam)):
+                nl = list(lam)
+                nl[i] -= 1
+                if nl[i] < 0 or (i + 1 < len(nl) and nl[i] < nl[i + 1]):
+                    continue
+                out.add(_partition_to_frame(nl[:n], n))
+    return out
+
+
+def _partition_to_frame(lam, n):
+    m = [0] * n
+    for i in range(n):
+        cur = lam[i]
+        nxt = lam[i + 1] if i + 1 < len(lam) else 0
+        m[i] = cur - nxt
+    while m and not m[-1]:
+        m.pop()
+    return YoungWeight(tuple(m))
+
+
+def peter_weyl_rank(config, degree):
+    """Independent oracle: the rank of the factorizability Gram matrix on
+    words of degree <= degree equals sum (dim V(lambda))^2 over the frames
+    appearing in the tensor powers u^{(x) m}, m <= degree (classical
+    branching, which the quantum case matches)."""
+    frames = {YoungWeight(())}
+    layer = {YoungWeight(())}
+    for _ in range(degree):
+        layer = _tensor_with_vector(config, layer)
+        frames |= layer
+    return sum(weyl_dim(fr, config) ** 2 for fr in frames)

@@ -358,16 +358,12 @@ def admissible_zeta(config, root_order, power=1):
     """The character index zeta = zeta_root_order^power, checked against the
     admissibility condition zeta^(zeta_order) = 1 of the configuration."""
     z = Zeta(root_order, power)
-    if pow_order(z) and config.zeta_order % z.order:
+    if config.zeta_order % z.order:
         raise InvalidCharacterError(
             f"zeta = {z} is not admissible for {config}: "
             f"need zeta^{config.zeta_order} = 1"
         )
     return z
-
-
-def pow_order(z):
-    return z.order
 
 
 def all_admissible(config):

@@ -47,6 +47,15 @@ class Policy:
     d_max: int = 6
     separation_length: int = 3
 
+    def __post_init__(self):
+        for name in ("start_degree", "stability_window", "d_max", "separation_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"policy {name} must be at least 1")
+        if self.d_max < self.start_degree:
+            raise ValueError(
+                f"policy d_max {self.d_max} is below start_degree {self.start_degree}"
+            )
+
 
 # ---------------------------------------------------------------------------
 # matrix representations
@@ -268,9 +277,6 @@ class Functional:
         )
         self.label = label
 
-    def is_structural_zero(self):
-        return not self.terms
-
     def __add__(self, other):
         return Functional(self.terms + other.terms, f"{self.label}+{other.label}")
 
@@ -350,7 +356,7 @@ def iter_word_states(rep, x0, max_deg):
     while stack:
         word, state = stack.pop()
         yield word, state
-        if len(word) == max_deg:
+        if len(word) >= max_deg:
             continue
         for g in reversed(gen_order):
             ns = linalg.vec_mat(state, rep.gens[g])
@@ -927,28 +933,20 @@ class Workspace:
         """Sparse evaluation rows {word: value} for each functional."""
         return [f.word_values(self.N, degree) for f in fs]
 
-    def rank(self, rows, prescreen=False):
-        if prescreen:
-            lower = linalg.rank_modular(
-                [r for r in rows if _all_scalar(r)], 9176, (1 << 61) - 1
-            ) if all(_all_scalar(r) for r in rows) else None
-            exact = linalg.rank(rows)
-            assert lower is None or exact >= lower
-            return exact
-        return linalg.rank(rows)
-
-    def stabilized_rank(self, fs, policy=None):
-        """Escalate the evaluation degree until the rank is constant over
-        the stability window; returns (rank, certified_degree)."""
+    def stabilized_rank(self, rows_at, policy=None):
+        """Escalate the evaluation degree until the rank of rows_at(degree)
+        is constant over the stability window; returns (rank,
+        certified_degree, rows at that degree)."""
         policy = policy or self.policy
         ranks = []
         d = policy.start_degree
         while d <= policy.d_max:
-            ranks.append(self.rank(self.eval_rows(fs, d)))
+            rows = rows_at(d)
+            ranks.append(linalg.rank(rows))
             if len(ranks) >= policy.stability_window and len(
                 set(ranks[-policy.stability_window:])
             ) == 1:
-                return ranks[-1], d
+                return ranks[-1], d, rows
             d += 1
         raise RankUnstableError(
             f"rank did not stabilize up to degree {policy.d_max}: {ranks}"
@@ -1048,7 +1046,7 @@ class Workspace:
                             t = co * acc
                             cur = row.get(w)
                             cur = t if cur is None else cur + t
-                            if _is_zero_val(cur):
+                            if cur.is_zero():
                                 row.pop(w, None)
                             else:
                                 row[w] = cur
@@ -1094,7 +1092,7 @@ class Workspace:
                                 t = xco * sv
                                 cur = row.get(w)
                                 cur = t if cur is None else cur + t
-                                if _is_zero_val(cur):
+                                if cur.is_zero():
                                     row.pop(w, None)
                                 else:
                                     row[w] = cur
@@ -1118,14 +1116,6 @@ def _values_equal(a, b):
     if isinstance(d, bool):
         return d
     return d.is_zero()
-
-
-def _is_zero_val(v):
-    return v.is_zero()
-
-
-def _all_scalar(row):
-    return all(isinstance(v, Scalar) for v in row.values())
 
 
 def _tensor_position_map(N, k):

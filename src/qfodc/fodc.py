@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import coordalg, dual, linalg
 from .coordalg import CoordElem, YoungWeight
 from .cyclotomic import Zeta, all_admissible
-from .dual import Functional, RankUnstableError, eps_word_values, iter_word_states
+from .dual import Functional, eps_word_values, iter_word_states
 from .scalar import ONE, ZERO
 
 
@@ -88,31 +88,16 @@ class QuantumLieAlgebra:
         self.cert_degree = None
 
     def rows(self, degree):
-        table = lie_rows(self.ws, self.corep, self.zeta, degree)
-        return [table[(i, j)] for i in range(self.corep.dim) for j in range(self.corep.dim)]
+        return list(lie_rows(self.ws, self.corep, self.zeta, degree).values())
 
     def certify_dim(self, policy=None):
         """Stabilized rank of {X_ij}; also records rank({X_ij} + {eps})."""
         if self.certified_dim is not None:
             return self.certified_dim, self.cert_degree
-        policy = policy or self.ws.policy
-        ranks = []
-        d = policy.start_degree
-        while d <= policy.d_max:
-            rows = self.rows(d)
-            ranks.append(linalg.rank(rows))
-            if len(ranks) >= policy.stability_window and len(
-                set(ranks[-policy.stability_window:])
-            ) == 1:
-                self.certified_dim = ranks[-1]
-                self.cert_degree = d
-                rows.append(eps_word_values(d, self.ws.N))
-                self.rank_with_eps = linalg.rank(rows)
-                return self.certified_dim, d
-            d += 1
-        raise RankUnstableError(
-            f"quantum Lie algebra rank did not stabilize: {ranks}"
-        )
+        dim, d, rows = self.ws.stabilized_rank(self.rows, policy)
+        self.rank_with_eps = linalg.rank(rows + [eps_word_values(d, self.ws.N)])
+        self.certified_dim, self.cert_degree = dim, d
+        return dim, d
 
     def coideal_certificate(self, degree=None):
         basis = [x for x in self.basis if x.terms]
@@ -139,9 +124,7 @@ class Calculus:
         self.corep = v
         self.zeta = zeta
         self.lie = quantum_lie(ws, v, zeta, policy)
-        self.invariant_dim = v.dim * v.dim
         self.bimodule_rep = self.lie.xrep
-        self.theta_labels = [(i, i) for i in range(v.dim)]
         self._xtab = {}
 
     def x_values(self, degree):
@@ -369,13 +352,7 @@ def direct_sum_calculi(cals, degree=None):
     if any(c.ws.config != ws.config for c in cals):
         raise ValueError("calculi live over different configurations")
     degree = degree or max(c.lie.cert_degree for c in cals)
-    dims = []
-    rows = []
-    for c in cals:
-        r = [row for row in c.lie.rows(degree) if row]
-        dims.append(linalg.rank(r))
-        rows.extend(r)
-    total = linalg.rank(rows)
+    dims, total = linalg.span_ranks(*(c.lie.rows(degree) for c in cals))
     cert = DirectSumCertificate(dims, total, degree, total == sum(dims))
     if not cert.direct:
         raise NotDirectError(
@@ -398,9 +375,7 @@ def tensor_identity_check(ws, v, w, degree=None):
         for t in range(1, w.dim + 1):
             x0p[((k, k), (t, t))] = ONE
     rows_b = _state_rows(prod, x0p, v.dim * w.dim, degree)
-    ra = linalg.rank(rows_a)
-    rb = linalg.rank(rows_b)
-    rab = linalg.rank(rows_a + rows_b)
+    (ra, rb), rab = linalg.span_ranks(rows_a, rows_b)
     return ra == rb == rab, degree
 
 
@@ -498,7 +473,7 @@ def classify(ws, rows, descriptor="", policy=None, frame_bound=2, basis=None):
     found_rows = []
     found_echelon = []
     for dim2, _, frame, zeta, v in candidates:
-        cand_rows = [r for r in lie_rows_list(ws, v, zeta, degree) if r]
+        cand_rows = [r for r in lie_rows(ws, v, zeta, degree).values() if r]
         if not all(linalg.in_row_space(big, r) for r in cand_rows):
             continue
         merged = linalg.echelon([r for _, r in found_echelon] + cand_rows)
@@ -511,7 +486,3 @@ def classify(ws, rows, descriptor="", policy=None, frame_bound=2, basis=None):
         descriptor, found, total, residual, degree, coideal_ok=coideal_ok
     )
 
-
-def lie_rows_list(ws, v, zeta, degree):
-    table = lie_rows(ws, v, zeta, degree)
-    return [table[(i, j)] for i in range(v.dim) for j in range(v.dim)]

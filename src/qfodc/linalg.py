@@ -74,59 +74,20 @@ def rank(rows):
     return len(echelon(rows))
 
 
+def span_ranks(*row_sets):
+    """([rank of each row set], rank of their union): the data of a span
+    equality (all equal) or of an independence certificate (union = sum)."""
+    return [rank(rows) for rows in row_sets], rank([r for rows in row_sets for r in rows])
+
+
 def in_row_space(basis, row):
     """Membership of a row in the span of an echelon basis."""
     return not reduce_row(row, basis)
 
 
-def span_contains(basis_rows, candidate_rows):
-    """True when every candidate row lies in the span of basis_rows."""
-    b = echelon(basis_rows)
-    return all(in_row_space(b, r) for r in candidate_rows)
-
-
-def rank_modular(rows, point, prime):
-    """Rank of Scalar-entried rows after the substitution p -> point (mod
-    prime).  This can only undershoot the exact rank, never overshoot; it is
-    used as a cheap pre-screen that the exact elimination then confirms."""
-    reduced = []
-    for row in rows:
-        r = {}
-        for c, v in row.items():
-            try:
-                m = v.eval_mod(point, prime)
-            except ZeroDivisionError:
-                return None  # unlucky point
-            if m:
-                r[c] = m
-        reduced.append(r)
-    basis = []
-    for row in reduced:
-        for pc, brow in basis:
-            v = row.get(pc)
-            if v:
-                f = v * pow(brow[pc], -1, prime) % prime
-                row = {c: (row.get(c, 0) - f * w) % prime for c, w in brow.items()} | {
-                    c: w for c, w in row.items() if c not in brow
-                }
-                row = {c: w for c, w in row.items() if w}
-        if row:
-            basis.append((min(row), row))
-    return len(basis)
-
-
 # ---------------------------------------------------------------------------
 # sparse square matrices: {row: {col: value}}
 # ---------------------------------------------------------------------------
-
-def mat_from_entries(entries):
-    """Build {r: {c: v}} from an iterable of (r, c, v), dropping zeros."""
-    out = {}
-    for r, c, v in entries:
-        if not v.is_zero():
-            out.setdefault(r, {})[c] = v
-    return out
-
 
 def mat_identity(labels):
     return {l: {l: ONE} for l in labels}
@@ -309,14 +270,3 @@ def minimal_polynomial(a, labels):
         if k > len(labels) + 1:
             raise ArithmeticError("minimal polynomial search exceeded bound")
 
-
-def poly_eval_matrix(coeffs, a, labels):
-    """Evaluate a polynomial (ascending Scalar coefficients) at a matrix."""
-    out = {}
-    power = mat_identity(labels)
-    for i, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = mat_add(out, mat_scale(power, c))
-        if i + 1 < len(coeffs):
-            power = mat_mul(power, a)
-    return out

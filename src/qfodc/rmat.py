@@ -36,9 +36,6 @@ class RData:
     def entry(self, i, n, j, m):
         return self.entries.get((i, n, j, m), ZERO)
 
-    def inv_entry(self, i, n, j, m):
-        return self.inverse_entries.get((i, n, j, m), ZERO)
-
     def pair_labels(self):
         N = self.N
         return [(i, n) for i in range(1, N + 1) for n in range(1, N + 1)]
@@ -123,10 +120,6 @@ def rhat(r):
     for (i, n, j, m), v in r.entries.items():
         out.setdefault((n, i), {})[(j, m)] = v
     return out
-
-
-def r_inverse(r):
-    return r.inverse_matrix()
 
 
 def _leg_matrix(entries, N, legs):
@@ -231,7 +224,7 @@ def spectral_projectors(r):
             if mu == lam:
                 continue
             factor = linalg.mat_sub(m, linalg.mat_scale(linalg.mat_identity(labels), mu))
-            num = linalg.mat_mul(num, mat_scale_inv(factor, lam - mu))
+            num = linalg.mat_mul(num, linalg.mat_scale(factor, (lam - mu).inverse()))
         projectors.append(num)
     total = {}
     for pmat in projectors:
@@ -239,10 +232,6 @@ def spectral_projectors(r):
     if not linalg.mat_is_identity(total, labels):
         raise SpectralFailureError("spectral projectors do not sum to identity")
     return list(zip(eigs, projectors))
-
-
-def mat_scale_inv(m, denom):
-    return linalg.mat_scale(m, denom.inverse())
 
 
 def mat_rank(m):

@@ -336,19 +336,6 @@ class Scalar:
             object.__setattr__(self, "_hash", h)
         return h
 
-    # -- evaluation (used by the probabilistic rank pre-screen) -------------
-
-    def eval_mod(self, point, prime):
-        """Evaluate at p = point modulo prime; raises ZeroDivisionError if
-        the denominator vanishes at the point."""
-        n = 0
-        for e, c in self.num.items():
-            n = (n + c * pow(point, e % (prime - 1) if e < 0 else e, prime)) % prime
-        d = 0
-        for e, c in self.den.items():
-            d = (d + c * pow(point, e, prime)) % prime
-        return n * pow(d, -1, prime) % prime
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):

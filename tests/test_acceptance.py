@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from qfodc import cli, dual, fodc, linalg, rmat
+from qfodc import coordalg, dual, fodc, linalg, rmat
 from qfodc.coordalg import CoordElem, YoungWeight
 from qfodc.cyclotomic import Zeta, all_admissible
 from qfodc.dual import Functional, Workspace, all_words, antipode_rep, conv
@@ -259,7 +259,7 @@ def test_criterion_10_factorizability():
                 row[wj] = v
         gram.append(row)
     got = linalg.rank(gram)
-    oracle = cli.peter_weyl_rank(ws.config, 2)
+    oracle = coordalg.peter_weyl_rank(ws.config, 2)
     ok = got == 14 and oracle == 14
     assert report(10, ok, f"Gram rank {got}, Peter-Weyl oracle {oracle} (want 14)")
 

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
-from qfodc import cli
+from qfodc import cli, coordalg
 from qfodc.coordalg import YoungWeight
+from qfodc.cyclotomic import Zeta
 from qfodc.scalar import FieldConfig
 
 
@@ -132,12 +134,40 @@ def test_out_file(tmp_path, capsys):
 
 def test_peter_weyl_oracle_values():
     # classical Clebsch-Gordan bookkeeping behind the factorizability rank
-    assert cli.peter_weyl_rank(FieldConfig.sl(2), 0) == 1
-    assert cli.peter_weyl_rank(FieldConfig.sl(2), 1) == 5     # 1 + 4
-    assert cli.peter_weyl_rank(FieldConfig.sl(2), 2) == 14    # 1 + 4 + 9
-    assert cli.peter_weyl_rank(FieldConfig.sl(3), 1) == 10    # 1 + 9
+    assert coordalg.peter_weyl_rank(FieldConfig.sl(2), 0) == 1
+    assert coordalg.peter_weyl_rank(FieldConfig.sl(2), 1) == 5     # 1 + 4
+    assert coordalg.peter_weyl_rank(FieldConfig.sl(2), 2) == 14    # 1 + 4 + 9
+    assert coordalg.peter_weyl_rank(FieldConfig.sl(3), 1) == 10    # 1 + 9
     # Sp_q(2): u (x) u = V(2w1) + trivial, dims 1 + 4 + 9
-    assert cli.peter_weyl_rank(FieldConfig.sp(1), 2) == 14
+    assert coordalg.peter_weyl_rank(FieldConfig.sp(1), 2) == 14
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--series", "sl", "--n", "2", "--claim", "minor-tau", "--degree", "-1"),
+    ("verify", "--series", "sl", "--n", "2", "--claim", "minor-tau", "--degree", "0"),
+    ("build", "--series", "sl", "--n", "2", "--corep", "u", "--d-max", "0"),
+    ("build", "--series", "sl", "--n", "2", "--corep", "u", "--d-max", "1"),
+])
+def test_degree_below_range_is_config_error(argv, capsys):
+    # --d-max 1 passes the option type but lies below Policy.start_degree
+    start = time.perf_counter()
+    assert cli.main(list(argv)) == 3
+    assert time.perf_counter() - start < 5.0
+
+
+def test_build_rejects_degree(capsys):
+    # only verify and classify have a certification degree to set
+    rc = cli.main(["build", "--series", "sl", "--n", "2", "--corep", "u",
+                   "--degree", "3"])
+    assert rc == 3
+
+
+def test_zeta_minus_i_with_equals_sign():
+    # "--zeta -i" reads as an option; the documented spelling is --zeta=-i
+    args = cli.make_parser().parse_args(
+        ["build", "--series", "sl", "--n", "4", "--zeta=-i"])
+    config = cli.field_config(args)
+    assert cli.parse_zeta(config, args.zeta) == Zeta(4, 3)
 
 
 def test_build_golden_bytes(capsys):

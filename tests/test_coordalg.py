@@ -293,22 +293,20 @@ def test_weyl_dim_examples():
     assert weyl_dim(YoungWeight((2,)), FieldConfig.sp(1)) == 3
 
 
-# -- config-level surfaces ------------------------------------------------------
+# -- workspace surfaces -----------------------------------------------------------
 
-def test_antipode_generators_surface():
-    cfg = FieldConfig.sl(2)
-    tab = coordalg.antipode_generators(cfg)
+def test_antipode_generators_surface(ws2):
+    tab = ws2.antipode_table()
     assert tab[0][0] == g(2, 2)
-    a = coordalg.antipode(cfg, g(1, 1) * g(1, 2))
+    a = ws2.antipode(g(1, 1) * g(1, 2))
     assert a == coordalg.apply_antipode(g(1, 1) * g(1, 2), tab)
 
 
-def test_exterior_coaction_surface():
-    cfg = FieldConfig.sl(3)
-    table = coordalg.exterior_coaction(cfg, 1)
+def test_exterior_coaction_surface(ws3):
+    table = ws3.minor_table(1)
     assert table[((2,), (1,))] == g(2, 1)
-    d12 = coordalg.minor(cfg, (1, 2), (1, 2))
-    q = cfg.q
+    d12 = ws3.minor_table(2)[((1, 2), (1, 2))]
+    q = ws3.config.q
     assert d12 == g(1, 1) * g(2, 2) - (g(2, 1) * g(1, 2)).scaled(q)
 
 

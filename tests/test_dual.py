@@ -369,14 +369,27 @@ def test_ad_r_rejects_multi_rep(ws2):
 # -- evaluation matrices, ranks --------------------------------------------
 
 def test_rank_of_counit(ws2):
-    assert ws2.rank(ws2.eval_rows([ws2.eps_functional()], 2)) == 1
+    assert linalg.rank(ws2.eval_rows([ws2.eps_functional()], 2)) == 1
+
+
+def test_span_ranks():
+    a = {(): ONE}
+    b = {((1, 1),): ONE}
+    c = {((1, 2),): ONE}
+    a_plus_b = {(): ONE, ((1, 1),): ONE}
+    # equal spans, written with different rows
+    assert linalg.span_ranks([a, b], [a_plus_b, b]) == ([2, 2], 2)
+    # strict containment: the first span lies inside the second
+    assert linalg.span_ranks([a], [a, c]) == ([1, 2], 2)
+    # independent sets: the union is the sum
+    assert linalg.span_ranks([a, b], [c]) == ([2, 1], 3)
 
 
 def test_l_entries_rank_stabilizes_at_five(ws2):
     u = ws2.corep("u")
     fs = [ws2.l_entry(u, i, j) for i in range(2) for j in range(2)]
     fs.append(ws2.eps_functional())
-    r, deg = ws2.stabilized_rank(fs)
+    r, deg, _ = ws2.stabilized_rank(lambda d: ws2.eval_rows(fs, d))
     assert r == 5
     assert deg == 3
 
@@ -384,21 +397,28 @@ def test_l_entries_rank_stabilizes_at_five(ws2):
 def test_trivial_corep_rank_one(ws2):
     one = ws2.corep("1")
     fs = [ws2.l_entry(one, 0, 0)]
-    r, _ = ws2.stabilized_rank(fs)
+    r, _, _ = ws2.stabilized_rank(lambda d: ws2.eval_rows(fs, d))
     assert r == 1  # only eps survives
-
-
-def test_rank_prescreen_consistent(ws2):
-    u = ws2.corep("u")
-    fs = [ws2.l_entry(u, i, j) for i in range(2) for j in range(2)]
-    rows = ws2.eval_rows(fs, 3)
-    assert ws2.rank(rows, prescreen=True) == ws2.rank(rows)
 
 
 def test_stabilized_rank_unstable_raises(ws2):
     fs = [ws2.eps_functional()]
     with pytest.raises(RankUnstableError):
-        ws2.stabilized_rank(fs, Policy(start_degree=2, stability_window=5, d_max=3))
+        ws2.stabilized_rank(lambda d: ws2.eval_rows(fs, d),
+                            Policy(start_degree=2, stability_window=5, d_max=3))
+
+
+def test_policy_rejects_out_of_range():
+    for kw in ({"start_degree": 0}, {"stability_window": 0},
+               {"separation_length": 0}, {"d_max": 1}):
+        with pytest.raises(ValueError):
+            Policy(**kw)
+
+
+def test_word_traversal_stops_below_degree_zero(ws2):
+    m = ws2.mrep(ws2.corep("u"))
+    x0 = {(1, 1): ONE}
+    assert list(dual.iter_word_states(m, x0, -1)) == [((), x0)]
 
 
 def test_export_eval_matrix(ws2):

@@ -116,13 +116,6 @@ def test_pow():
     assert q ** 0 == ONE
 
 
-def test_eval_mod():
-    a = Scalar({2: 1, 0: 1}, {1: 3})  # (p^2+1)/(3p)
-    prime = 10 ** 9 + 7
-    got = a.eval_mod(5, prime)
-    assert got == (26 * pow(15, -1, prime)) % prime
-
-
 # -- q-combinatorics --------------------------------------------------------
 
 def test_q_int_basics():
