@@ -357,14 +357,13 @@ def minor_corep(N, k, relations):
     return Corep(entries, f"minor:{k}", frame=frame, irreducible=True)
 
 
-def projected_corep(parent, pmat, labels, label, frame=None, irreducible=None,
-                    comatrix_checker=None):
+def projected_corep(parent, pmat, labels, label, frame=None, irreducible=None):
     """Compress a corepresentation by an exact idempotent.
 
     pmat is a sparse projector on `labels`, which must index the parent's
     basis in order.  The compressed entries are checked for the counit table
-    exactly and, when a checker is supplied, for the comatrix identity by
-    dual separation.
+    exactly; the comatrix identity holds only modulo the defining ideal and
+    is the workspace's to check (Workspace._check_comatrix).
     """
     from . import linalg
 
@@ -383,7 +382,7 @@ def projected_corep(parent, pmat, labels, label, frame=None, irreducible=None,
     r = len(bvecs)
     # compressed entry (a, b) = sum_t parent^{pivot_a}_t * B[t][b]; this is
     # one representative of the coacted image coordinate, valid because the
-    # image is coinvariant modulo the defining ideal (verified below)
+    # image is coinvariant modulo the defining ideal (Workspace._check_comatrix)
     entries = []
     for a in range(r):
         s = index[pivots[a]]
@@ -394,10 +393,7 @@ def projected_corep(parent, pmat, labels, label, frame=None, irreducible=None,
                 acc = acc + parent.entries[s][index[t_lab]].scaled(bv)
             row.append(acc)
         entries.append(row)
-    cor = Corep(entries, label, frame=frame, irreducible=irreducible)
-    if comatrix_checker is not None and not comatrix_checker(cor):
-        raise NotInvariantError(f"compressed entries of {label} fail the comatrix check")
-    return cor
+    return Corep(entries, label, frame=frame, irreducible=irreducible)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,20 @@ class Policy:
         for name in ("start_degree", "stability_window", "d_max", "separation_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"policy {name} must be at least 1")
-        if self.d_max < self.start_degree:
+        last = self.start_degree + self.stability_window - 1
+        if self.d_max < last:
             raise ValueError(
-                f"policy d_max {self.d_max} is below start_degree {self.start_degree}"
+                f"policy d_max {self.d_max} is below start_degree + stability_window"
+                f" - 1 = {last}, so no rank could ever stabilize"
             )
+
+
+def positive_or_default(value, default, name):
+    """value, or default when value is None; a value below 1 is a ValueError."""
+    value = default if value is None else value
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +421,6 @@ class Workspace:
         self._corep_reps = {}
         self._separators = None
         self._antipode = None
-        self._s_lminus = None
         self._exterior = None
         self._minor_tables = {}
         self._projectors = None
@@ -430,11 +439,6 @@ class Workspace:
         if k not in self._cp_minus:
             self._cp_minus[k] = conv_power(self.lminus, k)
         return self._cp_minus[k]
-
-    def s_lminus(self):
-        if self._s_lminus is None:
-            self._s_lminus = antipode_rep(self.lminus, self.config)
-        return self._s_lminus
 
     def lplus_entry(self, i, j):
         return Functional([(self.lplus, i, j, ONE)], f"l+[{i},{j}]")
@@ -519,7 +523,7 @@ class Workspace:
 
     def separating_reps(self, length=None):
         """All convolution words over {L+, L-} up to the policy length."""
-        length = length or self.policy.separation_length
+        length = positive_or_default(length, self.policy.separation_length, "separation length")
         if self._separators is None or self._separators[0] < length:
             reps = [(0, self._eps)]
             layer = [((), None)]
@@ -539,15 +543,18 @@ class Workspace:
         """Decide a = b in O(G_q) by evaluating the separating family on
         a - b.  False is a certain inequality; True is certified only up to
         the returned family length."""
-        length = length or self.policy.separation_length
+        length = positive_or_default(length, self.policy.separation_length, "separation length")
         diff = a - b
         if diff.is_zero():
             return True, 0
         for l, rep in enumerate(self.separating_reps(length)):
             total = {}
             for w, c in diff.terms.items():
-                total = linalg.mat_add(total, linalg.mat_scale(rep.word_matrix(w), c))
-            if total:
+                for r, row in rep.word_matrix(w).items():
+                    for col, v in row.items():
+                        s = total.get((r, col))
+                        total[(r, col)] = c * v if s is None else s + c * v
+            if not all(v.is_zero() for v in total.values()):
                 return False, l
         return True, length
 
@@ -666,30 +673,29 @@ class Workspace:
         return cor
 
     def _build_corep(self, desc):
+        """Build a descriptor's corepresentation.  The comatrix identity holds
+        on the nose for 1, u, tensors and sums; every other corepresentation
+        is registered only after _check_comatrix."""
         N = self.N
         if desc == "1":
             return coordalg.trivial_corep()
         if desc == "u":
             return coordalg.fundamental_corep(N)
+        for head in ("tensor(", "dsum("):
+            if desc.startswith(head):
+                args = _split_two(desc[len(head):-1])
+                a, b = self.corep(args[0]), self.corep(args[1])
+                return coordalg.tensor(a, b) if head == "tensor(" else coordalg.direct_sum(a, b)
         if desc == "uc":
             cor = coordalg.contragredient(self.corep("u"), self.antipode_table())
-            self._check_comatrix(cor)
-            return cor
-        if desc.startswith("minor:"):
+        elif desc.startswith("minor:"):
             k = int(desc.split(":", 1)[1])
             if not 1 <= k <= self.config.rank:
                 raise coordalg.InvalidDegreeError(
                     f"minor degree {k} out of range 1..{self.config.rank}"
                 )
             cor = coordalg.minor_corep(N, k, None if k == 1 else self.exterior_relations())
-            self._check_comatrix(cor)
-            return cor
-        for head in ("tensor(", "dsum("):
-            if desc.startswith(head):
-                args = _split_two(desc[len(head):-1])
-                a, b = self.corep(args[0]), self.corep(args[1])
-                return coordalg.tensor(a, b) if head == "tensor(" else coordalg.direct_sum(a, b)
-        if desc.startswith("proj:sym(") or desc.startswith("proj:anti("):
+        elif desc.startswith("proj:sym(") or desc.startswith("proj:anti("):
             which = "sym" if desc.startswith("proj:sym(") else "anti"
             inner = desc[desc.index("(") + 1:-1]
             parent = self.corep(inner)
@@ -710,55 +716,47 @@ class Workspace:
             frame = YoungWeight((2,)) if which == "sym" else (
                 YoungWeight((0, 1)) if self.config.rank >= 2 else None
             )
-            return coordalg.projected_corep(
+            cor = coordalg.projected_corep(
                 parent, pmat, labels, f"proj:{which}({inner})",
                 frame=frame, irreducible=(self.config.series == "A" and which == "sym") or None,
-                comatrix_checker=self._check_comatrix,
             )
-        raise ValueError(f"cannot parse corepresentation descriptor {desc!r}")
+        else:
+            raise ValueError(f"cannot parse corepresentation descriptor {desc!r}")
+        self._check_comatrix(cor)
+        return cor
 
     def _check_comatrix(self, cor):
-        """Comatrix identity for every entry, decided by dual separation on
-        each tensor leg via the separating family."""
-        N = self.N
-        reps = self.separating_reps(2)
+        """Raise NotInvariantError unless Delta(v^i_j) = sum_k v^i_k (x) v^k_j
+        for every entry.
+
+        The defect of each entry is a sum of c w1 (x) w2.  Each entry (r, c)
+        of each separating representation m applied to the second leg leaves
+        the first-leg element sum c m(w2)[r, c] w1, which must vanish under
+        separated_equal.  Since the entries of m1(w1) (x) m(w2) factor, this
+        decides the same as separating both legs at once."""
+        zero = CoordElem()
         for i in range(cor.dim):
             for j in range(cor.dim):
-                # Delta(v^i_j) - sum_k v^i_k (x) v^k_j as {(w1, w2): coeff}
-                pairs = dict(coordalg.coproduct(cor.entries[i][j], N))
+                defect = coordalg.coproduct(cor.entries[i][j], self.N)
                 for k in range(cor.dim):
-                    left, right = cor.entries[i][k], cor.entries[k][j]
-                    for w1, c1 in left.terms.items():
-                        for w2, c2 in right.terms.items():
-                            key = (w1, w2)
-                            cur = pairs.get(key, ZERO)
-                            cur = cur - c1 * c2
-                            if cur.is_zero():
-                                pairs.pop(key, None)
-                            else:
-                                pairs[key] = cur
-                if not pairs:
+                    for w1, c1 in cor.entries[i][k].terms.items():
+                        for w2, c2 in cor.entries[k][j].terms.items():
+                            defect[(w1, w2)] = defect.get((w1, w2), ZERO) - c1 * c2
+                defect = {key: c for key, c in defect.items() if not c.is_zero()}
+                if not defect:
                     continue
-                for rep1 in reps:
-                    for rep2 in reps:
-                        total = {}
-                        for (w1, w2), c in pairs.items():
-                            m1 = rep1.word_matrix(w1)
-                            m2 = rep2.word_matrix(w2)
-                            for r1, row1 in m1.items():
-                                for c1_, v1 in row1.items():
-                                    for r2, row2 in m2.items():
-                                        for c2_, v2 in row2.items():
-                                            key = ((r1, c1_), (r2, c2_))
-                                            cur = total.get(key, ZERO)
-                                            cur = cur + c * v1 * v2
-                                            if cur.is_zero():
-                                                total.pop(key, None)
-                                            else:
-                                                total[key] = cur
-                        if total:
-                            return False
-        return True
+                for rep in self.separating_reps(2):
+                    legs = {}
+                    for (w1, w2), c in defect.items():
+                        for r, row in rep.word_matrix(w2).items():
+                            for col, v in row.items():
+                                leg = legs.setdefault((r, col), {})
+                                leg[w1] = leg.get(w1, ZERO) + c * v
+                    for leg in legs.values():
+                        if not self.separated_equal(CoordElem(leg), zero, 2)[0]:
+                            raise coordalg.NotInvariantError(
+                                f"entry ({i},{j}) of {cor.label} fails the comatrix check"
+                            )
 
     def tensor_power_corep(self, k):
         if k == 0:
@@ -906,26 +904,24 @@ class Workspace:
         if len(freps) != 1:
             raise UnsupportedFunctionalError("ad_r needs f inside a single MatRep")
         frep = freps.pop()
-        skey = ("ad-s", frep.uid)
-        if skey not in self._corep_reps:
-            self._corep_reps[skey] = antipode_rep(frep, self.config)
-        srep = self._corep_reps[skey]
         out_terms = []
-        xgroups = {}
         for xrep, xr, xc, xco in x.terms:
-            xgroups.setdefault(xrep, []).append((xr, xc, xco))
-        for xrep, xterms in xgroups.items():
-            ckey = ("ad3", frep.uid, xrep.uid)
-            if ckey not in self._corep_reps:
-                self._corep_reps[ckey] = conv(srep, conv(xrep, frep))
-            c3 = self._corep_reps[ckey]
-            for frep_, a, b, fco in f.terms:
-                for xr, xc, xco in xterms:
-                    for k in frep.labels:
-                        out_terms.append(
-                            (c3, (k, (xr, k)), (a, (xc, b)), fco * xco)
-                        )
+            c3 = self._ad_rep(frep, xrep)
+            for _, a, b, fco in f.terms:
+                for k in frep.labels:
+                    out_terms.append((c3, (k, (xr, k)), (a, (xc, b)), fco * xco))
         return Functional(out_terms, f"ad({f.label}){x.label}")
+
+    def _ad_rep(self, frep, xrep):
+        """conv(S(frep), conv(xrep, frep)), the MatRep that houses ad_R(f)x
+        for f inside frep and x inside xrep (cached)."""
+        key = ("ad", frep.uid, xrep.uid)
+        if key not in self._corep_reps:
+            skey = ("S", frep.uid)
+            if skey not in self._corep_reps:
+                self._corep_reps[skey] = antipode_rep(frep, self.config)
+            self._corep_reps[key] = conv(self._corep_reps[skey], conv(xrep, frep))
+        return self._corep_reps[key]
 
     # -- evaluation matrices, ranks, equality --------------------------------------
 
@@ -955,7 +951,7 @@ class Workspace:
     def functional_equal(self, f, g, degree=None):
         """Equality of functionals on all words up to the certification
         degree.  False is definitive; True certifies up to the degree."""
-        degree = degree if degree is not None else self.policy.d_max
+        degree = positive_or_default(degree, self.policy.d_max, "degree")
         vf = f.word_values(self.N, degree)
         vg = g.word_values(self.N, degree)
         for w in set(vf) | set(vg):
@@ -966,126 +962,57 @@ class Workspace:
         return True, degree
 
     def coideal_check(self, basis, degree=None):
-        """Right-coideal and ad_R-invariance certificate for span(basis) + C eps.
+        """Bicovariance certificate for span(basis) + C eps on words of
+        degree <= degree: the conjunction of _right_coideal (right translates
+        stay in the span) and _ad_invariant (ad_R by every l+/l- generator
+        entry maps the basis into the span).  Returns (ok, degree)."""
+        degree = positive_or_default(degree, self.policy.start_degree + 1, "degree")
+        rows = self.eval_rows(basis, degree) + [eps_word_values(degree, self.N)]
+        ok = self._right_coideal(rows, degree) and self._ad_invariant(basis, rows, degree)
+        return ok, degree
 
-        Checks (i) for every word pair a, b with deg a + deg b <= degree the
-        functional X(. b) restricted to degree <= degree - |b| lies in the
-        span of the basis and eps, and (ii) ad_R by every l+-/l- generator
-        entry maps the basis into the span.  Returns (ok, degree).
-        """
-        degree = degree if degree is not None else self.policy.start_degree + 1
-        N = self.N
-        rows = self.eval_rows(basis, degree)
-        eps_row = eps_word_values(degree, N)
-        big = linalg.echelon(rows + [eps_row])
-        # membership of truncated rows must be tested against the basis
-        # restricted to the same column set
-        big_by_limit = {degree: big}
-        for lim in range(degree):
-            trunc = [
-                {w: v for w, v in r.items() if len(w) <= lim}
-                for r in rows + [eps_row]
-            ]
-            big_by_limit[lim] = linalg.echelon(trunc)
-        # shared row-state tables, bucketed by word length
-        row_tables = {}
+    def _right_coideal(self, rows, degree):
+        """(i) For every basis row X (all rows but the last, eps) and every
+        nonempty word b, X(. b) on words of degree <= degree - |b| lies in
+        the span of the rows truncated to that degree.  X(. b)(w) = X(w b),
+        so the translates are read off the rows themselves."""
+        spans = [
+            linalg.echelon([{w: v for w, v in r.items() if len(w) <= lim} for r in rows])
+            for lim in range(degree)
+        ]
+        for row in rows[:-1]:
+            translates = {}
+            for wb, v in row.items():
+                for cut in range(len(wb)):
+                    translates.setdefault(wb[cut:], {})[wb[:cut]] = v
+            for b, translate in translates.items():
+                if not linalg.in_row_space(spans[degree - len(b)], translate):
+                    return False
+        return True
 
-        def row_table(rep, r):
-            key = (rep.uid, r)
-            if key not in row_tables:
-                buckets = [dict() for _ in range(degree + 1)]
-                for w, state in iter_word_states(rep, {r: ONE}, degree):
-                    buckets[len(w)][w] = state
-                row_tables[key] = (rep, buckets)
-            return row_tables[key][1]
-
-        # column-state tables: rep(b) e_c for all words b, grown by prepending
-        def col_table(rep, c, out):
-            key = (rep.uid, c)
-            if key not in out:
-                table = {(): {c: ONE}}
-                layer = [((), {c: ONE})]
-                for _ in range(degree):
-                    nxt = []
-                    for b, vec in layer:
-                        for g in sorted(rep.gens):
-                            nv = linalg.mat_vec(rep.gens[g], vec)
-                            if nv:
-                                nb = (g,) + b
-                                table[nb] = nv
-                                nxt.append((nb, nv))
-                    layer = nxt
-                out[key] = table
-            return out[key]
-
-        col_tables = {}
-        # (i) coproduct legs stay in the span
-        for x in basis:
-            for b in all_words(N, degree):
-                if not b:
-                    continue
-                limit = degree - len(b)
-                row = {}
-                for rep, r, c, co in x.terms:
-                    ctab = col_table(rep, c, col_tables)
-                    y = ctab.get(b)
-                    if not y:
-                        continue
-                    buckets = row_table(rep, r)
-                    for l in range(limit + 1):
-                        for w, state in buckets[l].items():
-                            acc = None
-                            for lbl, yv in y.items():
-                                sv = state.get(lbl)
-                                if sv is None:
-                                    continue
-                                t = sv * yv
-                                acc = t if acc is None else acc + t
-                            if acc is None:
-                                continue
-                            t = co * acc
-                            cur = row.get(w)
-                            cur = t if cur is None else cur + t
-                            if cur.is_zero():
-                                row.pop(w, None)
-                            else:
-                                row[w] = cur
-                if not linalg.in_row_space(big_by_limit[limit], row):
-                    return False, degree
-        # (ii) ad_R-invariance under the L-functional generator entries;
-        # one DFS per (sign, x-rep, x-row) serves every generator entry and
-        # every basis functional simultaneously
+    def _ad_invariant(self, basis, rows, degree):
+        """(ii) ad_R(f) X lies in the span of rows for every l+/l- generator
+        entry f and every basis functional X.  One traversal per (sign,
+        X-rep, X-row) serves every f and every X."""
+        span = linalg.echelon(rows)
         xreps = {}
         for x in basis:
             for rep, r, c, co in x.terms:
                 xreps.setdefault(rep, set()).add(r)
-        for sign in ("+", "-"):
-            frep = self.lplus if sign == "+" else self.lminus
-            skey = ("ad-s", frep.uid)
-            if skey not in self._corep_reps:
-                self._corep_reps[skey] = antipode_rep(frep, self.config)
-            srep = self._corep_reps[skey]
-            c3s = {}
+        for frep in (self.lplus, self.lminus):
             tables = {}
             for xrep, xrows in xreps.items():
-                ckey = ("ad3", frep.uid, xrep.uid)
-                if ckey not in self._corep_reps:
-                    self._corep_reps[ckey] = conv(srep, conv(xrep, frep))
-                c3 = self._corep_reps[ckey]
-                c3s[xrep.uid] = c3
+                c3 = self._ad_rep(frep, xrep)
                 for xr in xrows:
-                    x0 = {}
-                    for k in frep.labels:
-                        x0[(k, (xr, k))] = ONE
+                    x0 = {(k, (xr, k)): ONE for k in frep.labels}
                     tables[(xrep.uid, xr)] = dict(iter_word_states(c3, x0, degree))
-            for a in range(1, N + 1):
-                for bcol in range(1, N + 1):
+            for a in range(1, self.N + 1):
+                for bcol in range(1, self.N + 1):
                     for x in basis:
                         row = {}
                         for xrep, xr, xc, xco in x.terms:
-                            tab = tables[(xrep.uid, xr)]
                             colkey = (a, (xc, bcol))
-                            for w, state in tab.items():
+                            for w, state in tables[(xrep.uid, xr)].items():
                                 sv = state.get(colkey)
                                 if sv is None:
                                     continue
@@ -1096,9 +1023,9 @@ class Workspace:
                                     row.pop(w, None)
                                 else:
                                     row[w] = cur
-                        if not linalg.in_row_space(big, row):
-                            return False, degree
-        return True, degree
+                        if not linalg.in_row_space(span, row):
+                            return False
+        return True
 
     # -- JSON export ---------------------------------------------------------------
 

@@ -351,7 +351,7 @@ def direct_sum_calculi(cals, degree=None):
     ws = cals[0].ws
     if any(c.ws.config != ws.config for c in cals):
         raise ValueError("calculi live over different configurations")
-    degree = degree or max(c.lie.cert_degree for c in cals)
+    degree = dual.positive_or_default(degree, max(c.lie.cert_degree for c in cals), "degree")
     dims, total = linalg.span_ranks(*(c.lie.rows(degree) for c in cals))
     cert = DirectSumCertificate(dims, total, degree, total == sum(dims))
     if not cert.direct:
@@ -364,7 +364,7 @@ def direct_sum_calculi(cals, degree=None):
 def tensor_identity_check(ws, v, w, degree=None):
     """Span equality of {l((v (x) w)-entries)} and {l(v)-entries times
     l(w)-entries}, certified by mutual rank containment."""
-    degree = degree or (ws.policy.start_degree + 1)
+    degree = dual.positive_or_default(degree, ws.policy.start_degree + 1, "degree")
     vw = coordalg.tensor(v, w)
     mvw = ws.mrep(vw)
     x0 = {(k, k): ONE for k in range(1, vw.dim + 1)}

@@ -155,22 +155,6 @@ def mat_is_identity(a, labels):
     return mat_eq(a, mat_identity(list(labels)))
 
 
-def mat_vec(a, x):
-    """Matrix times sparse column vector {label: value}."""
-    out = {}
-    for r, arow in a.items():
-        acc = None
-        for c, v in arow.items():
-            xv = x.get(c)
-            if xv is None:
-                continue
-            t = v * xv
-            acc = t if acc is None else acc + t
-        if acc is not None and not acc.is_zero():
-            out[r] = acc
-    return out
-
-
 def vec_mat(x, a):
     """Sparse row vector times matrix."""
     out = {}

@@ -147,9 +147,12 @@ def test_peter_weyl_oracle_values():
     ("verify", "--series", "sl", "--n", "2", "--claim", "minor-tau", "--degree", "0"),
     ("build", "--series", "sl", "--n", "2", "--corep", "u", "--d-max", "0"),
     ("build", "--series", "sl", "--n", "2", "--corep", "u", "--d-max", "1"),
+    ("verify", "--series", "sl", "--n", "2", "--claim", "direct-sum", "--zeta=-1",
+     "--d-max", "2"),
 ])
 def test_degree_below_range_is_config_error(argv, capsys):
-    # --d-max 1 passes the option type but lies below Policy.start_degree
+    # --d-max 1 and 2 pass the option type, but a rank needs degrees
+    # start_degree .. start_degree + stability_window - 1 = 2 .. 3
     start = time.perf_counter()
     assert cli.main(list(argv)) == 3
     assert time.perf_counter() - start < 5.0

@@ -167,8 +167,32 @@ def test_minor_table_out_of_range(ws3):
 
 def test_minor_coproduct_identity(ws3):
     # Delta(D^I_J) = sum_M D^I_M (x) D^M_J, decided by dual separation on
-    # each tensor leg (it is false on the nose in the free algebra)
-    assert ws3._check_comatrix(ws3.corep("minor:2"))
+    # each tensor leg (it is false on the nose in the free algebra); the
+    # check raises NotInvariantError on failure and returns nothing
+    assert ws3._check_comatrix(ws3.corep("minor:2")) is None
+
+
+def _double_entry_01(build):
+    # doubling an off-diagonal entry keeps the counit table valid but breaks
+    # the comatrix identity
+    def broken(*args):
+        cor = build(*args)
+        entries = [list(row) for row in cor.entries]
+        entries[0][1] = entries[0][1].scaled(Scalar.from_int(2))
+        return Corep(entries, cor.label, frame=cor.frame, irreducible=cor.irreducible)
+    return broken
+
+
+@pytest.mark.parametrize("desc, builder", [
+    ("minor:2", "minor_corep"),
+    ("uc", "contragredient"),
+])
+def test_corep_failing_comatrix_is_not_registered(desc, builder, monkeypatch):
+    monkeypatch.setattr(coordalg, builder, _double_entry_01(getattr(coordalg, builder)))
+    ws = Workspace(FieldConfig.sl(3))
+    with pytest.raises(NotInvariantError, match="comatrix"):
+        ws.corep(desc)
+    assert desc not in ws._coreps
 
 
 def test_minor_upper_block_killed_by_lplus(ws3):

@@ -402,17 +402,21 @@ def test_trivial_corep_rank_one(ws2):
 
 
 def test_stabilized_rank_unstable_raises(ws2):
-    fs = [ws2.eps_functional()]
+    # rank d at degree d never repeats within the window
     with pytest.raises(RankUnstableError):
-        ws2.stabilized_rank(lambda d: ws2.eval_rows(fs, d),
-                            Policy(start_degree=2, stability_window=5, d_max=3))
+        ws2.stabilized_rank(lambda d: [{(i,): ONE} for i in range(d)],
+                            Policy(start_degree=2, stability_window=2, d_max=3))
 
 
 def test_policy_rejects_out_of_range():
     for kw in ({"start_degree": 0}, {"stability_window": 0},
-               {"separation_length": 0}, {"d_max": 1}):
+               {"separation_length": 0}, {"d_max": 1},
+               {"start_degree": 2, "stability_window": 5, "d_max": 5},
+               {"stability_window": 3, "d_max": 3}):
         with pytest.raises(ValueError):
             Policy(**kw)
+    # the smallest d_max that leaves room for a full stability window
+    assert Policy(start_degree=2, stability_window=3, d_max=4).d_max == 4
 
 
 def test_word_traversal_stops_below_degree_zero(ws2):
@@ -475,6 +479,26 @@ def test_coideal_lplus_entry_fails(ws2):
     f = ws2.lplus_entry(1, 2)
     assert f.evaluate(g(2, 1)) != ZERO
     assert not ws2.coideal_check([f], 2)[0]
+
+
+def _span_rows(ws, basis, degree):
+    return ws.eval_rows(basis, degree) + [dual.eps_word_values(degree, ws.N)]
+
+
+def test_right_coideal_certificate_rejects_off_diagonal(ws2):
+    # part (i): a right translate of l+^1_2 leaves span{l+^1_2, eps}
+    basis = [ws2.lplus_entry(1, 2)]
+    assert not ws2._right_coideal(_span_rows(ws2, basis, 2), 2)
+
+
+def test_ad_invariance_certificate_rejects_diagonal(ws2):
+    # l+^2_1 = 0 makes l+^1_1 group-like, so its span with eps is a right
+    # coideal, but ad_R moves it out of the span; only part (ii) sees that
+    basis = [ws2.lplus_entry(1, 1)]
+    rows = _span_rows(ws2, basis, 2)
+    assert ws2._right_coideal(rows, 2)
+    assert not ws2._ad_invariant(basis, rows, 2)
+    assert not ws2.coideal_check(basis, 2)[0]
 
 
 def test_corep_rep_multiplicative(ws3):

@@ -240,6 +240,24 @@ def test_tensor_identity_u_uc(ws2):
     assert ok
 
 
+@pytest.mark.parametrize("call", [
+    lambda ws, d: fodc.tensor_identity_check(ws, ws.corep("u"), ws.corep("u"), d),
+    lambda ws, d: fodc.direct_sum_calculi(
+        [fodc.Calculus(ws, ws.corep(v), Zeta(2, 1)) for v in ("1", "u")], d),
+    lambda ws, d: ws.separated_equal(g(1, 1), CoordElem.unit(), d),
+    lambda ws, d: ws.separating_reps(d),
+    lambda ws, d: ws.functional_equal(ws.lplus_entry(1, 1), ws.lminus_entry(1, 1), d),
+    lambda ws, d: ws.coideal_check([ws.lplus_entry(1, 2)], d),
+], ids=["tensor_identity_check", "direct_sum_calculi", "separated_equal", "separating_reps",
+        "functional_equal", "coideal_check"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_degree_or_length_below_one_is_rejected(ws2, call, value):
+    # None selects the default; a caller's 0 must not be read as "unset",
+    # nor certify an identity on no words at all
+    with pytest.raises(ValueError, match="at least 1"):
+        call(ws2, value)
+
+
 # -- classification ----------------------------------------------------------------
 
 def test_classify_single_component(ws2):
