@@ -1,9 +1,9 @@
 """Command-line front end: build, verify, classify and report, with exact
 scalars end to end.
 
-Exit status: 0 pass, 1 fail, 2 undecided (rank did not stabilize),
-3 configuration or usage error.  Identical invocations produce
-byte-identical reports.
+Exit status: 0 pass, 1 fail (a failed claim or certificate), 2 undecided
+(rank did not stabilize), 3 configuration or usage error.  Identical
+invocations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -14,10 +14,19 @@ import random
 import sys
 
 from . import dual, fodc, linalg, rmat
-from .coordalg import CoordElem, YoungWeight, peter_weyl_rank
+from .coordalg import CoordElem, NotInvariantError, YoungWeight, peter_weyl_rank
 from .cyclotomic import InvalidCharacterError, admissible_zeta
 from .dual import Policy, RankUnstableError, Workspace
 from .scalar import FieldConfig, UnsupportedConfigError
+
+# mathematical failures: the input was well formed, but a certificate failed
+FAILURES = (
+    NotInvariantError,
+    fodc.NotCentralError,
+    fodc.NotDirectError,
+    dual.AntipodeFailureError,
+    rmat.SpectralFailureError,
+)
 
 CLAIMS = (
     "minor-tau",
@@ -54,7 +63,7 @@ def make_parser():
             help="matrix size N for sl (SL_q(N)); rank n for sp (Sp_q(2n))",
         )
         sp.add_argument("--zeta", default="1",
-                        help="1, -1, i, -i, or w[k] for zeta_N^k (write --zeta=-i)")
+                        help="1, -1, i, -i, or w[k] for zeta_N^k")
         sp.add_argument("--d-max", type=positive_int, default=6)
         sp.add_argument("--format", choices=("json", "markdown"), default="json")
         sp.add_argument("--out", default=None, help="write the report to FILE")
@@ -365,10 +374,25 @@ VERIFIERS = {
 }
 
 
+def _fold_zeta(argv):
+    """Join `--zeta -i` into `--zeta=-i`: argparse would read a separate
+    `-i` as an option and leave --zeta (or an abbreviation of it, such as
+    --ze) without its value."""
+    out = []
+    for a in argv:
+        if (out and len(out[-1]) > 2 and "--zeta".startswith(out[-1])
+                and a.startswith("-") and not a.startswith("--")):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None):
     parser = make_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_fold_zeta(argv))
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
@@ -380,6 +404,9 @@ def main(argv=None):
             return cmd_classify(args)
         if args.command == "report":
             return cmd_report(args)
+    except FAILURES as exc:
+        sys.stderr.write(f"fail: {exc}\n")
+        return 1
     except (InvalidCharacterError, UnsupportedConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -95,7 +95,10 @@ class QuantumLieAlgebra:
         if self.certified_dim is not None:
             return self.certified_dim, self.cert_degree
         dim, d, rows = self.ws.stabilized_rank(self.rows, policy)
-        self.rank_with_eps = linalg.rank(rows + [eps_word_values(d, self.ws.N)])
+        # one more row raises the rank by at most 1
+        self.rank_with_eps = linalg.rank(
+            rows + [eps_word_values(d, self.ws.N)], bound=dim + 1
+        )
         self.certified_dim, self.cert_degree = dim, d
         return dim, d
 

@@ -3,10 +3,10 @@ import time
 
 import pytest
 
-from qfodc import cli, coordalg
+from qfodc import cli, coordalg, dual, fodc, rmat
 from qfodc.coordalg import YoungWeight
 from qfodc.cyclotomic import Zeta
-from qfodc.scalar import FieldConfig
+from qfodc.scalar import FieldConfig, Scalar
 
 
 def run(capsys, *argv):
@@ -166,11 +166,66 @@ def test_build_rejects_degree(capsys):
 
 
 def test_zeta_minus_i_with_equals_sign():
-    # "--zeta -i" reads as an option; the documented spelling is --zeta=-i
     args = cli.make_parser().parse_args(
         ["build", "--series", "sl", "--n", "4", "--zeta=-i"])
     config = cli.field_config(args)
     assert cli.parse_zeta(config, args.zeta) == Zeta(4, 3)
+
+
+def test_zeta_minus_i_spaced_matches_equals_sign(capsys):
+    # argparse alone reads a separate "-i" as an option (exit 3)
+    spaced = run(capsys, "build", "--series", "sl", "--n", "4", "--corep", "1",
+                 "--zeta", "-i")
+    joined = run(capsys, "build", "--series", "sl", "--n", "4", "--corep", "1",
+                 "--zeta=-i")
+    abbreviated = run(capsys, "build", "--series", "sl", "--n", "4", "--corep", "1",
+                      "--ze", "-i")
+    assert spaced == joined == abbreviated
+    assert spaced[0] == 0 and json.loads(spaced[1])["zeta"] == "-i"
+
+
+def _double_uc_entry_01(monkeypatch):
+    # keeps the counit table valid but breaks the comatrix identity
+    build = coordalg.contragredient
+
+    def broken(*args):
+        cor = build(*args)
+        entries = [list(row) for row in cor.entries]
+        entries[0][1] = entries[0][1].scaled(Scalar.from_int(2))
+        return coordalg.Corep(entries, cor.label, frame=cor.frame,
+                              irreducible=cor.irreducible)
+
+    monkeypatch.setattr(coordalg, "contragredient", broken)
+
+
+@pytest.mark.parametrize("breaks, argv, reason", [
+    (_double_uc_entry_01, "build --series sl --n 2 --corep uc", "comatrix"),
+    (lambda mp: mp.setattr(fodc, "is_central", lambda *a, **k: False),
+     "classify --series sl --n 2 --central u --zeta=-1", "not central"),
+    (lambda mp: mp.setattr(dual.Workspace, "_antipode_axiom_holds",
+                           lambda self, tab: False),
+     "classify --series sl --n 2 --central u --zeta=-1", "antipode"),
+    (lambda mp: mp.setattr(rmat, "_monomial_roots", lambda coeffs, bound: []),
+     "build --series sl --n 2 --corep proj:sym(tensor(u,u))", "monomial roots"),
+], ids=["comatrix", "not-central", "antipode", "spectral"])
+def test_mathematical_failure_exits_1(breaks, argv, reason, monkeypatch, capsys):
+    # a failed certificate is a failure (1), not a configuration error (3)
+    # and not a traceback
+    breaks(monkeypatch)
+    assert cli.main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fail: ") and reason in captured.err
+
+
+def test_rank_unstable_stays_undecided(monkeypatch, capsys):
+    # also an ArithmeticError, but undecided (2), not a failure (1)
+    def unstable(self, rows_at, policy=None):
+        raise dual.RankUnstableError("rank did not stabilize up to degree 6: [3, 4]")
+
+    monkeypatch.setattr(dual.Workspace, "stabilized_rank", unstable)
+    assert cli.main(["build", "--series", "sl", "--n", "2", "--corep", "u"]) == 2
+    assert capsys.readouterr().err.startswith("undecided: ")
 
 
 def test_build_golden_bytes(capsys):

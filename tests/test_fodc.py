@@ -38,6 +38,36 @@ def test_sl2_dims(ws2):
         assert lie.rank_with_eps == 5
 
 
+@pytest.mark.parametrize("config, dim", [(FieldConfig.sl(3), 9), (FieldConfig.sp(2), 16)])
+def test_full_rank_certified_without_elimination(config, dim, monkeypatch):
+    # full-rank sets are certified by the modular lower bound alone; a
+    # specialisation that always fell back would still be correct, only slow
+    ws = Workspace(config)
+    u = ws.corep("u")
+
+    def no_echelon(rows):
+        raise AssertionError("exact elimination on a full-rank set")
+
+    monkeypatch.setattr(linalg, "echelon", no_echelon)
+    lie = fodc.quantum_lie(ws, u, Zeta(1, 0))
+    assert (lie.certified_dim, lie.rank_with_eps) == (dim, dim + 1)
+
+
+def test_rank_deficient_set_eliminates_once_per_degree(ws2, monkeypatch):
+    calls = []
+    echelon = linalg.echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    lie = fodc.quantum_lie(ws2, ws2.corep("dsum(1,u)"), Zeta(1, 0))
+    assert (lie.certified_dim, lie.rank_with_eps) == (4, 5)
+    # one elimination per degree of the window, none for rank_with_eps
+    assert calls == [9] * (lie.cert_degree - ws2.policy.start_degree + 1)
+
+
 def test_x_vanishes_at_unit(ws2):
     u = ws2.corep("u")
     lie = fodc.quantum_lie(ws2, u, Zeta(2, 1))

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qfodc.scalar import (
     FieldConfig,
@@ -15,6 +16,8 @@ from qfodc.scalar import (
     q_factorial,
     q_int,
 )
+
+from strategies import scalars
 
 P = Scalar.p_power
 
@@ -107,6 +110,11 @@ def test_parse_print_roundtrip():
     assert parse_scalar("(p^4+1)/p^2") == P(2) + P(-2)
     assert parse_scalar("-3p^2+1") == Scalar({2: -3, 0: 1})
     assert parse_scalar("5/2") == Scalar.from_fraction(5, 2)
+
+
+@given(scalars() | st.just(ZERO))
+def test_parse_print_roundtrip_property(a):
+    assert parse_scalar(str(a)) == a
 
 
 def test_pow():
