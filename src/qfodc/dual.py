@@ -23,7 +23,7 @@ from itertools import product
 
 from . import coordalg, linalg, rmat
 from .coordalg import CoordElem, YoungWeight
-from .scalar import ONE, Scalar, ZERO
+from .scalar import ONE, Scalar, UnsupportedConfigError, ZERO
 
 
 class RankUnstableError(ArithmeticError):
@@ -328,12 +328,26 @@ class Functional:
     def word_values(self, N, degree):
         """Values on all words of degree <= degree, as {word: value}; words
         with value exactly zero are omitted."""
-        total = {}
-        groups = {}
-        for rep, r, c, co in self.terms:
-            groups.setdefault((rep, r), []).append((c, co))
-        for (rep, r), cols in groups.items():
-            for word, state in iter_word_states(rep, {r: ONE}, degree):
+        return word_values([self], degree)[0]
+
+    def __repr__(self):
+        return f"Functional[{self.label or len(self.terms)} terms]"
+
+
+def word_values(fs, degree):
+    """Values of each functional in fs on all words of degree <= degree, as
+    one {word: value} dict per functional (exact zeros omitted).
+
+    One traversal per distinct (rep, row) serves every term of every
+    functional that reads that row."""
+    groups = {}
+    for k, f in enumerate(fs):
+        for rep, r, c, co in f.terms:
+            groups.setdefault((rep, r), {}).setdefault(k, []).append((c, co))
+    out = [{} for _ in fs]
+    for (rep, r), by_f in groups.items():
+        for word, state in iter_word_states(rep, {r: ONE}, degree):
+            for k, cols in by_f.items():
                 acc = None
                 for c, co in cols:
                     v = state.get(c)
@@ -343,6 +357,7 @@ class Functional:
                     acc = t if acc is None else acc + t
                 if acc is None or acc.is_zero():
                     continue
+                total = out[k]
                 cur = total.get(word)
                 if cur is None:
                     total[word] = acc
@@ -352,10 +367,7 @@ class Functional:
                         del total[word]
                     else:
                         total[word] = cur
-        return total
-
-    def __repr__(self):
-        return f"Functional[{self.label or len(self.terms)} terms]"
+    return out
 
 
 def iter_word_states(rep, x0, max_deg):
@@ -439,6 +451,24 @@ class Workspace:
         if k not in self._cp_minus:
             self._cp_minus[k] = conv_power(self.lminus, k)
         return self._cp_minus[k]
+
+    def convolve(self, f, g):
+        """f * g as a Functional.  For f = sum a F[r, c] and g = sum b G[r', c'],
+        f * g = sum a b conv(F, G)[(r, r'), (c, c')] on every word, since conv
+        is multiplicative and the coproduct is an algebra map."""
+        terms = [
+            (self._conv(frep, grep), (fr, gr), (fc, gc), fco * gco)
+            for frep, fr, fc, fco in f.terms
+            for grep, gr, gc, gco in g.terms
+        ]
+        return Functional(terms, f"{f.label}*{g.label}")
+
+    def _conv(self, frep, grep):
+        """conv(frep, grep), cached per pair of reps."""
+        key = ("conv", frep.uid, grep.uid)
+        if key not in self._corep_reps:
+            self._corep_reps[key] = conv(frep, grep)
+        return self._corep_reps[key]
 
     def lplus_entry(self, i, j):
         return Functional([(self.lplus, i, j, ONE)], f"l+[{i},{j}]")
@@ -663,7 +693,7 @@ class Workspace:
         """Parse a corepresentation descriptor and register the result.
 
         Grammar: 1 | u | uc | tensor(D,D) | dsum(D,D) | minor:k |
-        proj:sym(D) | proj:anti(D)
+        proj:sym(tensor(u,u)) | proj:anti(tensor(u,u))
         """
         desc = descriptor.replace(" ", "")
         if desc in self._coreps:
@@ -695,29 +725,29 @@ class Workspace:
                     f"minor degree {k} out of range 1..{self.config.rank}"
                 )
             cor = coordalg.minor_corep(N, k, None if k == 1 else self.exterior_relations())
-        elif desc.startswith("proj:sym(") or desc.startswith("proj:anti("):
-            which = "sym" if desc.startswith("proj:sym(") else "anti"
-            inner = desc[desc.index("(") + 1:-1]
-            parent = self.corep(inner)
-            if parent.dim != N * N:
-                raise coordalg.NotInvariantError(
-                    "sym/anti projections act on tensor squares of u"
+        elif desc.startswith("proj:"):
+            which = _PROJECTIONS.get(desc)
+            if which is None:
+                raise UnsupportedConfigError(
+                    f"{desc!r}: sym/anti projections act on tensor(u,u) only"
                 )
-            projs = self.spectral_projectors()
+            parent = self.corep("tensor(u,u)")
             want = N * (N + 1) // 2 if which == "sym" else N * (N - 1) // 2
             pmat = None
-            for _, p in projs:
+            for _, p in self.spectral_projectors():
                 if rmat.mat_rank(p) == want:
                     pmat = p
                     break
             if pmat is None:
-                raise coordalg.NotInvariantError("no projector of the requested rank")
+                raise UnsupportedConfigError(
+                    f"{desc!r}: no spectral projector of rank {want} on {self.config}"
+                )
             labels = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
             frame = YoungWeight((2,)) if which == "sym" else (
                 YoungWeight((0, 1)) if self.config.rank >= 2 else None
             )
             cor = coordalg.projected_corep(
-                parent, pmat, labels, f"proj:{which}({inner})",
+                parent, pmat, labels, desc,
                 frame=frame, irreducible=(self.config.series == "A" and which == "sym") or None,
             )
         else:
@@ -920,14 +950,14 @@ class Workspace:
             skey = ("S", frep.uid)
             if skey not in self._corep_reps:
                 self._corep_reps[skey] = antipode_rep(frep, self.config)
-            self._corep_reps[key] = conv(self._corep_reps[skey], conv(xrep, frep))
+            self._corep_reps[key] = conv(self._corep_reps[skey], self._conv(xrep, frep))
         return self._corep_reps[key]
 
     # -- evaluation matrices, ranks, equality --------------------------------------
 
     def eval_rows(self, fs, degree):
         """Sparse evaluation rows {word: value} for each functional."""
-        return [f.word_values(self.N, degree) for f in fs]
+        return word_values(fs, degree)
 
     def stabilized_rank(self, rows_at, policy=None):
         """Escalate the evaluation degree until the rank of rows_at(degree)
@@ -1054,6 +1084,10 @@ def _tensor_position_map(N, k):
     for pos, multi in enumerate(product(range(1, N + 1), repeat=k)):
         out[multi] = pos + 1
     return out
+
+
+# the projections of tensor(u,u) onto its sym/anti spectral summands
+_PROJECTIONS = {"proj:sym(tensor(u,u))": "sym", "proj:anti(tensor(u,u))": "anti"}
 
 
 def _split_two(s):

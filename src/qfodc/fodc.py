@@ -19,7 +19,7 @@ from . import coordalg, dual, linalg
 from .coordalg import CoordElem, YoungWeight
 from .cyclotomic import Zeta, all_admissible
 from .dual import Functional, eps_word_values, iter_word_states
-from .scalar import ONE, ZERO
+from .scalar import MINUS_ONE, ONE, ZERO
 
 
 class NotCentralError(ValueError):
@@ -243,44 +243,30 @@ def central_element(ws, v, zeta):
     return Functional(terms, f"c[{zeta}]({v.label})")
 
 
-def convolution_values(ws, f, g, degree):
-    """(f * g)(w) for all words of degree <= degree, via the comatrix splits."""
-    N = ws.N
-    vf = f.word_values(N, degree)
-    vg = g.word_values(N, degree)
-    out = {}
-    for w in dual.all_words(N, degree):
-        total = None
-        for w1, w2 in coordalg.coproduct_splits(w, N):
-            a = vf.get(w1)
-            if a is None:
-                continue
-            b = vg.get(w2)
-            if b is None:
-                continue
-            t = a * b
-            total = t if total is None else total + t
-        if total is not None and not total.is_zero():
-            out[w] = total
-    return out
+def convolution_values(ws, combos, degree):
+    """Word values of linear combinations of convolution products.
+
+    combos is a list of combinations [(coeff, f, g), ...]; the k-th result
+    is {word: value} of sum coeff * (f * g) on words of degree <= degree,
+    exact zeros omitted.  Each product is read off a conv representation
+    (Workspace.convolve), so one batched traversal serves every combination.
+    """
+    fs = []
+    for combo in combos:
+        terms = []
+        for k, f, g in combo:
+            terms += ws.convolve(f, g).scaled(k).terms
+        fs.append(Functional(terms))
+    return ws.eval_rows(fs, degree)
 
 
 def is_central(ws, c, degree=3):
-    """c commutes with every l+- generator entry on words up to degree."""
-    for sign in ("+", "-"):
-        base = ws.lplus if sign == "+" else ws.lminus
-        for i in range(1, ws.N + 1):
-            for j in range(1, ws.N + 1):
-                f = Functional([(base, i, j, ONE)], f"l{sign}[{i},{j}]")
-                left = convolution_values(ws, c, f, degree)
-                right = convolution_values(ws, f, c, degree)
-                for w in set(left) | set(right):
-                    a = left.get(w, ZERO)
-                    b = right.get(w, ZERO)
-                    d = a - b
-                    if not d.is_zero():
-                        return False
-    return True
+    """c commutes with every l+- generator entry on words up to degree: the
+    2N^2 commutators c * f - f * c all vanish."""
+    idx = range(1, ws.N + 1)
+    gens = [entry(i, j) for entry in (ws.lplus_entry, ws.lminus_entry) for i in idx for j in idx]
+    rows = convolution_values(ws, [[(ONE, c, f), (MINUS_ONE, f, c)] for f in gens], degree)
+    return not any(rows)
 
 
 def quantum_lie_from_central(ws, c, policy=None, check=True):
@@ -309,8 +295,11 @@ def quantum_lie_from_central(ws, c, policy=None, check=True):
                 v = v - cb
             if not v.is_zero():
                 row[a] = v
-        if row and not linalg.in_row_space(basis, row):
-            basis = linalg.echelon([r for _, r in basis] + [row])
+        # forward reduction in insertion order decides membership: each
+        # new basis row is zero at the pivots of the rows before it
+        rest = linalg.reduce_row(row, basis)
+        if rest:
+            basis += linalg.echelon([rest])
             picked.append(b)
     out = []
     for b in picked:

@@ -2,6 +2,7 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfodc import cli, coordalg, dual, fodc, rmat
 from qfodc.coordalg import YoungWeight
@@ -42,6 +43,84 @@ def test_bad_descriptor_is_config_error(capsys):
     rc = cli.main(["build", "--series", "sl", "--n", "2",
                    "--corep", "garbage(u", "--zeta", "1"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("series, n, corep", [
+    ("sl", "2", "proj:sym(u)"),
+    ("sl", "2", "proj:anti(tensor(u,1))"),
+    ("sl", "2", "proj:sym(tensor(1,1))"),
+    ("sl", "2", "proj:sym(tensor(uc,uc))"),
+    ("sl", "2", "proj:sym(tensor(u,uc))"),
+    ("sp", "2", "proj:anti(tensor(u,u))"),   # Sp_q(4) has no rank-6 projector
+    ("sl", "2", "tensor(u"),
+    ("sl", "2", "dsum(,)"),
+    ("sl", "2", "minor:x"),
+    ("sl", "2", ""),
+    ("sl", "2", "minor:99999999999999999999"),
+])
+def test_unsupported_descriptor_exits_3(series, n, corep, capsys):
+    # an input the grammar does not support is a configuration error, not a
+    # failed certificate (1) and not a traceback
+    rc = cli.main(["build", "--series", series, "--n", n, "--corep", corep])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+LEAVES = ("1", "u", "uc", "minor:1", "minor:2", "minor:0", "minor:x", "",
+          "proj:sym(tensor(u,u))", "proj:anti(tensor(u,u))", "proj:sym(u)")
+HEADS = ("tensor", "dsum", "proj:sym", "proj:anti", "minor:")
+
+
+def _node(head, a, b):
+    if head.startswith("proj"):
+        return f"{head}({a})"
+    if head == "minor:":
+        return head + a
+    return f"{head}({a},{b})"
+
+
+def _mutate(text, pos, edit, char):
+    pos = pos % (len(text) + 1)
+    if edit == "insert":
+        return text[:pos] + char + text[pos:]
+    if edit == "delete":
+        return text[:pos] + text[pos + 1:]
+    return text[:pos] + char + text[pos + 1:]
+
+
+# three leaves at most: every corepresentation has dimension <= 27 on SL_q(2)
+GRAMMAR = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda inner: st.builds(_node, st.sampled_from(HEADS), inner, inner),
+    max_leaves=3,
+)
+DESCRIPTORS = (
+    GRAMMAR
+    | st.builds(_mutate, GRAMMAR, st.integers(0, 60),
+                st.sampled_from(("insert", "delete", "replace")),
+                st.sampled_from("(),: u1cx9-"))
+    | st.text(alphabet="tensordumpaic:()1,0x9 -", max_size=24)
+    | st.text(max_size=12)
+)
+
+
+@pytest.fixture(scope="module")
+def ws_sl2():
+    return dual.Workspace(FieldConfig.sl(2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(desc=DESCRIPTORS)
+def test_descriptor_registers_or_is_config_error(ws_sl2, desc):
+    # every descriptor either registers a corepresentation or is rejected as
+    # a configuration error (a ValueError that cli.main maps to exit 3)
+    try:
+        cor = ws_sl2.corep(desc)
+    except ValueError as exc:
+        assert not isinstance(exc, cli.FAILURES), repr(exc)
+    else:
+        assert isinstance(cor, coordalg.Corep)
 
 
 def test_verify_factorizability(capsys):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from qfodc import dual, fodc, linalg
-from qfodc.coordalg import CoordElem, YoungWeight
+from qfodc import coordalg, dual, fodc, linalg
+from qfodc.coordalg import CoordElem, YoungWeight, coproduct_splits
 from qfodc.cyclotomic import Zeta
 from qfodc.dual import Functional, Policy, Workspace, all_words
 from qfodc.scalar import FieldConfig, ONE, ZERO
@@ -199,6 +199,49 @@ def test_non_central_rejected(ws2):
         fodc.quantum_lie_from_central(ws2, f)
 
 
+def _split_sum(ws, f, g, degree):
+    """Reference (f * g)(w) = sum of f(w1) g(w2) over the comatrix splits."""
+    vf = f.word_values(ws.N, degree)
+    vg = g.word_values(ws.N, degree)
+    out = {}
+    for w in all_words(ws.N, degree):
+        total = ZERO
+        for w1, w2 in coproduct_splits(w, ws.N):
+            a, b = vf.get(w1), vg.get(w2)
+            if a is not None and b is not None:
+                total = a * b + total
+        if not total.is_zero():
+            out[w] = total
+    return out
+
+
+@pytest.mark.parametrize("wsname, zeta, degree", [
+    ("ws2", Zeta(2, 1), 3),
+    ("ws3", Zeta(3, 1), 2),
+], ids=["sl2-zeta=-1", "sl3-zeta=w"])
+def test_convolution_values_match_split_sum(wsname, zeta, degree, request):
+    # conv-rep entries equal the split sum on every word, in both orders; the
+    # non-central c + l+[1,2] tells c * f from f * c
+    ws = request.getfixturevalue(wsname)
+    c = fodc.central_element(ws, ws.corep("u"), zeta)
+    idx = range(1, ws.N + 1)
+    gens = [entry(i, j) for entry in (ws.lplus_entry, ws.lminus_entry) for i in idx for j in idx]
+    pairs = [
+        pair for h in (c, c + ws.lplus_entry(1, 2)) for f in gens for pair in ((h, f), (f, h))
+    ]
+    got = fodc.convolution_values(ws, [[(ONE, f, g)] for f, g in pairs], degree)
+    for (f, g), row in zip(pairs, got):
+        want = _split_sum(ws, f, g, degree)
+        assert row.keys() == want.keys()
+        assert all((row[w] - want[w]).is_zero() for w in want)
+
+
+def test_centrality_mutation_rejected(ws3):
+    c = fodc.central_element(ws3, ws3.corep("u"), Zeta(3, 1))
+    assert fodc.is_central(ws3, c, 3)
+    assert not fodc.is_central(ws3, c + ws3.lplus_entry(1, 2), 3)
+
+
 def test_central_generation_matches_lie(ws2):
     z = Zeta(2, 1)
     u = ws2.corep("u")
@@ -329,6 +372,32 @@ def test_classify_json_deterministic(ws2):
     a = fodc.classify(ws2, lie.rows(3), "X").to_json()
     b = fodc.classify(ws2, lie.rows(3), "X").to_json()
     assert a == b
+
+
+# components listed by hand as Young frames (column multiplicities)
+TRIVIAL, BOX, ROW2, COLUMN2 = (YoungWeight(m) for m in ((), (1,), (2,), (0, 1)))
+
+
+@pytest.mark.parametrize("config, corep, zeta, components, dim", [
+    (FieldConfig.sl(2), "tensor(u,u)", Zeta(1, 0), [ROW2, TRIVIAL], 9),
+    (FieldConfig.sl(2), "tensor(u,u)", Zeta(2, 1), [ROW2, TRIVIAL], 10),
+    (FieldConfig.sl(2), "dsum(1,u)", Zeta(1, 0), [TRIVIAL, BOX], 4),
+    (FieldConfig.sl(2), "dsum(1,u)", Zeta(2, 1), [TRIVIAL, BOX], 5),
+    (FieldConfig.sl(2), "dsum(u,u)", Zeta(1, 0), [BOX], 4),
+    (FieldConfig.sl(3), "minor:2", Zeta(1, 0), [COLUMN2], 9),
+    (FieldConfig.sp(2), "u", Zeta(1, 0), [BOX], 16),
+], ids=["sl2-uu-1", "sl2-uu--1", "sl2-1+u-1", "sl2-1+u--1", "sl2-u+u-1",
+        "sl3-minor2-1", "sp4-u-1"])
+def test_dimension_matches_component_oracle(config, corep, zeta, components, dim):
+    # dim X_zeta(v) = sum of (dim V_lambda)^2 over the distinct irreducible
+    # components of v; the trivial component drops out at zeta = 1
+    ws = Workspace(config)
+    lie = fodc.quantum_lie(ws, ws.corep(corep), zeta)
+    oracle = sum(
+        coordalg.weyl_dim(lam, config) ** 2
+        for lam in components if not (zeta.is_one() and lam.trivial)
+    )
+    assert lie.certified_dim == oracle == dim
 
 
 def test_sp4_fundamental_dimension():
