@@ -2,14 +2,20 @@
 
 Admissible twist characters need zeta with zeta^N = 1.  For N <= 2 these are
 rational; beyond that we work in the cyclotomic extension Q(p)[x]/Phi_N(x),
-whose elements are short polynomials in the root with Scalar coefficients.
+whose elements are short polynomials in the root with coefficients in Q(p),
+stored over one shared denominator.
 Phi_N is irreducible over Q and stays irreducible over the purely
 transcendental extension Q(p), so every nonzero element is invertible.
 """
 
 from __future__ import annotations
 
-from .scalar import ONE, Scalar, ZERO
+from math import gcd as _igcd
+
+from .scalar import (
+    ONE, Scalar, ZERO, _padd, _pcontent, _pmul, _pneg, _poly_exact_div,
+    _poly_gcd, _pscale, _pshift, _psub, _pval,
+)
 
 
 class InvalidCharacterError(ValueError):
@@ -71,70 +77,103 @@ class CycRing:
                     row = [r - top * c for r, c in zip(row, mod[:-1])]
             red[k] = row
         self._reduction = red
-        self.zero = CycElem(self, (ZERO,) * self.degree)
-        self.one = CycElem(self, (ONE,) + (ZERO,) * (self.degree - 1))
+        self.zero = CycElem(self, ({},) * self.degree, _UNIT)
+        self.one = self.lift(ONE)
         cls._cache[order] = self
         return self
 
     def lift(self, s):
-        return CycElem(self, (s,) + (ZERO,) * (self.degree - 1))
+        return CycElem(self, (s.num,) + ({},) * (self.degree - 1), s.den)
 
     def from_coeffs(self, coeffs):
+        """The element sum_i coeffs[i] x^i, coefficients Scalars."""
         coeffs = list(coeffs)
         assert len(coeffs) <= self.degree
         coeffs += [ZERO] * (self.degree - len(coeffs))
-        return CycElem(self, tuple(coeffs))
+        dens = []
+        for c in coeffs:
+            if c.den != _UNIT and c.den not in dens:
+                dens.append(c.den)
+        if not dens:
+            return CycElem(self, tuple(c.num for c in coeffs), _UNIT)
+        nums = []
+        for c in coeffs:
+            n = c.num
+            for d in dens:
+                if d != c.den:
+                    n = _pmul(n, d)
+            nums.append(n)
+        den = dens[0]
+        for d in dens[1:]:
+            den = _pmul(den, d)
+        return _normalized(self, nums, den)
 
     def root_power(self, j):
         """x^j mod Phi_n as a ring element."""
-        j %= self.order
-        out = [ZERO] * self.degree
-        if j < self.degree:
-            out[j] = ONE
-            return CycElem(self, tuple(out))
-        elem = self.from_coeffs([ZERO] * (self.degree - 1) + [ONE])  # x^(deg-1)
-        for _ in range(j - (self.degree - 1)):
-            elem = elem._shift_up()
-        return elem
+        row = [1] + [0] * (self.degree - 1)
+        for _ in range(j % self.order):  # multiply by x, reduce by the modulus
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [r - top * m for r, m in zip(row, self.modulus)]
+        return CycElem(self, tuple({0: c} if c else {} for c in row), _UNIT)
 
     def __repr__(self):
         return f"CycRing({self.order})"
 
 
+_UNIT = {0: 1}
+
+
 class CycElem:
-    """Element of a CycRing: polynomial of degree < deg in the root."""
+    """Element of a CycRing: sum_i nums[i] x^i / den for i < degree.
 
-    __slots__ = ("ring", "coeffs", "_hash")
+    nums are integer Laurent polynomials in p and den is one polynomial
+    shared by all of them, in the canonical form Scalar uses for a single
+    fraction: den has a nonzero constant term and a positive leading
+    coefficient, and no integer or polynomial factor of den divides every
+    numerator.  The form is unique, so equality compares (nums, den); an
+    element of Q(p) is stored exactly as its Scalar.  The dicts are never
+    mutated once an element holds them.
+    """
 
-    def __init__(self, ring, coeffs):
+    __slots__ = ("ring", "nums", "den", "_hash", "_complexity")
+
+    def __init__(self, ring, nums, den):
+        """nums and den must already be canonical; see _normalized."""
         self.ring = ring
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self._hash = None
+        self._complexity = None
 
-    def _shift_up(self):
-        """Multiply by the root symbol x."""
-        ring = self.ring
-        d = ring.degree
-        work = [ZERO] + list(self.coeffs)
-        if not work[d].is_zero():
-            top = work.pop()
-            red = ring._reduction[d]
-            work = [w + top * Scalar.from_int(c) for w, c in zip(work, red)]
-        else:
-            work.pop()
-        return CycElem(ring, tuple(work))
+    @property
+    def coeffs(self):
+        """The coefficients of 1, x, ..., x^(degree-1) as reduced Scalars."""
+        den = self.den
+        unit = den == _UNIT
+        return tuple(Scalar(n, den, _canonical=unit) for n in self.nums)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.nums)
 
     def rational_part(self):
         """The element as a Scalar if it lies in Q(p), else None."""
-        if all(c.is_zero() for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
+        if any(self.nums[1:]):
+            return None
+        return Scalar(self.nums[0], self.den, _canonical=True)
 
     def complexity(self):
-        return sum(len(c.num) + len(c.den) for c in self.coeffs)
+        """Total size of the reduced coefficients (pivot weight in linalg)."""
+        c = self._complexity
+        if c is None:
+            if len(self.den) == 1:
+                # a constant den only cancels integer content: supports stay
+                c = sum(len(n) for n in self.nums) + self.ring.degree
+            else:
+                c = sum(len(s.num) + len(s.den) for s in self.coeffs)
+            self._complexity = c
+        return c
 
     def _coerce(self, other):
         if isinstance(other, CycElem):
@@ -145,11 +184,31 @@ class CycElem:
             return self.ring.lift(other)
         return None
 
+    def _add(self, o, sign):
+        ring = self.ring
+        da, db = self.den, o.den
+        if da == db:
+            op = _padd if sign > 0 else _psub
+            nums = [op(a, b) for a, b in zip(self.nums, o.nums)]
+            if da == _UNIT:
+                return CycElem(ring, tuple(nums), _UNIT)
+            return _normalized(ring, nums, da)
+        if db == _UNIT:
+            # a/da + b = (a + b da)/da, and gcd(da, a + b da) = gcd(da, a) = 1
+            nums = [_addmul(a, b, da, sign) for a, b in zip(self.nums, o.nums)]
+            return CycElem(ring, tuple(nums), da)
+        if da == _UNIT:
+            nums = [_addmul(_pscale(b, sign), a, db, 1)
+                    for a, b in zip(self.nums, o.nums)]
+            return CycElem(ring, tuple(nums), db)
+        nums = [_addmul(_pmul(a, db), b, da, sign) for a, b in zip(self.nums, o.nums)]
+        return _normalized(ring, nums, _pmul(da, db))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElem(self.ring, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._add(o, 1)
 
     __radd__ = __add__
 
@@ -157,40 +216,68 @@ class CycElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElem(self.ring, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._add(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o._add(self, -1)
 
     def __neg__(self):
-        return CycElem(self.ring, tuple(-a for a in self.coeffs))
+        return CycElem(self.ring, tuple(_pneg(n) for n in self.nums), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not any(o.nums[1:]):
+            return self._scaled(o.nums[0], o.den)
+        if not any(self.nums[1:]):
+            return o._scaled(self.nums[0], self.den)
         ring = self.ring
         d = ring.degree
-        prod = [ZERO] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                if not b.is_zero():
-                    prod[i + j] = prod[i + j] + a * b
-        out = prod[:d]
+        prod = [{} for _ in range(2 * d - 1)]
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(o.nums):
+                    if b:
+                        _addmul_into(prod[i + j], a, b, 1)
         for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c.is_zero():
-                continue
-            red = ring._reduction[k]
-            out = [w + c * Scalar.from_int(r) for w, r in zip(out, red)]
-        return CycElem(ring, tuple(out))
+            top = prod[k]
+            if top:
+                for i, r in enumerate(ring._reduction[k]):
+                    if r:
+                        _addmul_into(prod[i], top, _UNIT, r)
+        nums = prod[:d]
+        da, db = self.den, o.den
+        if db == _UNIT:
+            if da == _UNIT:
+                return CycElem(ring, tuple(nums), _UNIT)
+            return _normalized(ring, nums, da)
+        return _normalized(ring, nums, db if da == _UNIT else _pmul(da, db))
 
     __rmul__ = __mul__
+
+    def _scaled(self, n, d):
+        """self * n/d for a canonical fraction n/d.  Cancelling n against
+        self.den and d against self.nums leaves the product canonical: a
+        prime factor of either denominator divides neither n nor every
+        numerator."""
+        if not n or self.is_zero():
+            return self.ring.zero
+        den, nums = self.den, self.nums
+        if den != _UNIT:
+            den, (n,) = _cancel(den, [n])
+        if d != _UNIT:
+            d, nums = _cancel(d, nums)
+            den = d if den == _UNIT else _pmul(den, d)
+        if len(n) == 1:  # a monomial c p^e: shift and scale
+            (e, c), = n.items()
+            nums = tuple({k + e: v * c for k, v in a.items()} for a in nums)
+        else:
+            nums = tuple(_pmul(n, a) if a else a for a in nums)
+        return CycElem(self.ring, nums, den)
 
     def inverse(self):
         """Inverse via extended Euclid against the (irreducible) modulus."""
@@ -207,9 +294,7 @@ class CycElem:
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         c = r1[0].inverse()
-        out = [c * v for v in s1]
-        out += [ZERO] * (ring.degree - len(out))
-        return CycElem(ring, tuple(out[: ring.degree]))
+        return ring.from_coeffs([c * v for v in s1][: ring.degree])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -219,15 +304,24 @@ class CycElem:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            other = self.ring.lift(other)
+            return (self.den == other.den and self.nums[0] == other.num
+                    and not any(self.nums[1:]))
         if not isinstance(other, CycElem) or other.ring is not self.ring:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring.order, self.coeffs))
-        return self._hash
+        h = self._hash
+        if h is None:
+            rat = self.rational_part()
+            if rat is not None:
+                h = hash(rat)  # it equals that Scalar, so it hashes as it
+            else:
+                h = hash((self.ring.order,
+                          tuple(frozenset(n.items()) for n in self.nums),
+                          frozenset(self.den.items())))
+            self._hash = h
+        return h
 
     def __str__(self):
         parts = []
@@ -243,6 +337,63 @@ class CycElem:
 
     def __repr__(self):
         return f"CycElem[{self.ring.order}]({self})"
+
+
+def _addmul_into(acc, a, b, k):
+    """acc += k * a * b for Laurent dicts, in place, dropping zeros."""
+    for ea, ca in a.items():
+        ca *= k
+        for eb, cb in b.items():
+            e = ea + eb
+            s = acc.get(e, 0) + ca * cb
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+
+
+def _addmul(a, b, c, sign):
+    """a + sign * b * c as a new Laurent dict."""
+    out = dict(a)
+    _addmul_into(out, b, c, sign)
+    return out
+
+
+def _normalized(ring, nums, den):
+    """The canonical element sum_i nums[i] x^i / den.  den must have a
+    nonzero constant term and a positive leading coefficient (products and
+    exact quotients of canonical denominators do)."""
+    if not any(nums):
+        return ring.zero
+    den, nums = _cancel(den, nums)
+    return CycElem(ring, tuple(nums), den)
+
+
+def _cancel(den, nums):
+    """(den, nums) divided by their greatest common divisor in Z[p]: one
+    integer content and one polynomial gcd against all numerators together."""
+    g = _pcontent(den)
+    for n in nums:
+        if g == 1:
+            break
+        if n:
+            g = _igcd(g, _pcontent(n))
+    if g > 1:
+        nums = [{e: c // g for e, c in n.items()} for n in nums]
+        den = {e: c // g for e, c in den.items()}
+    # den(0) != 0, so a monomial numerator is prime to den
+    if len(den) == 1 or any(len(n) == 1 for n in nums):
+        return den, nums
+    g = den
+    for n in nums:
+        if n:
+            g = _poly_gcd(_pshift(n, -_pval(n)), g)
+            if len(g) == 1:
+                return den, nums
+    den = _poly_exact_div(den, g)
+    nums = [_pshift(_poly_exact_div(_pshift(n, -_pval(n)), g), _pval(n))
+            if n else n for n in nums]
+    return den, nums
 
 
 def _trim(a):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 
 from . import coordalg, linalg, rmat
 from .coordalg import CoordElem, YoungWeight
@@ -698,6 +699,15 @@ class Workspace:
         desc = descriptor.replace(" ", "")
         if desc in self._coreps:
             return self._coreps[desc]
+        if _nesting_depth(desc) > MAX_DESCRIPTOR_DEPTH:
+            raise UnsupportedConfigError(
+                f"corepresentation descriptor nests deeper than {MAX_DESCRIPTOR_DEPTH} levels"
+            )
+        dim = _predicted_dim(desc, self.N)
+        if dim is not None and dim > MAX_COREP_DIM:
+            raise UnsupportedConfigError(
+                f"corepresentation descriptor has dimension {dim} > {MAX_COREP_DIM}"
+            )
         cor = self._build_corep(desc)
         self._coreps[desc] = cor
         return cor
@@ -1088,6 +1098,53 @@ def _tensor_position_map(N, k):
 
 # the projections of tensor(u,u) onto its sym/anti spectral summands
 _PROJECTIONS = {"proj:sym(tensor(u,u))": "sym", "proj:anti(tensor(u,u))": "anti"}
+
+# Descriptor bounds, checked before anything is built.  Every descriptor of
+# the CLI, the tests and the benchmark nests at most 5 levels and has
+# dimension at most 27; deeper nesting would exhaust the parser's recursion,
+# and the dimension of nested tensor products grows exponentially.
+MAX_DESCRIPTOR_DEPTH = 32
+MAX_COREP_DIM = 256
+
+
+def _nesting_depth(desc):
+    depth = deepest = 0
+    for ch in desc:
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
+
+
+def _predicted_dim(desc, N):
+    """The dimension Workspace._build_corep gives a descriptor, read from the
+    text alone; None where _build_corep rejects the text itself."""
+    if desc == "1":
+        return 1
+    if desc in ("u", "uc"):
+        return N
+    for head in ("tensor(", "dsum("):
+        if desc.startswith(head):
+            try:
+                a, b = _split_two(desc[len(head):-1])
+            except ValueError:
+                return None
+            da, db = _predicted_dim(a, N), _predicted_dim(b, N)
+            if da is None or db is None:
+                return None
+            return da * db if head == "tensor(" else da + db
+    if desc.startswith("minor:"):
+        try:
+            k = int(desc.split(":", 1)[1])
+        except ValueError:
+            return None
+        return comb(N, k) if 1 <= k <= N else None
+    which = _PROJECTIONS.get(desc)
+    if which is None:
+        return None
+    return N * (N + 1) // 2 if which == "sym" else N * (N - 1) // 2
 
 
 def _split_two(s):

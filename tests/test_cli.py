@@ -67,6 +67,23 @@ def test_unsupported_descriptor_exits_3(series, n, corep, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("levels", [31, 400, 600])
+def test_deeply_nested_descriptor_exits_3_at_once(levels, capsys):
+    # bounded before anything is built: 31 levels pass the depth bound but
+    # have dimension 2^32; 400 levels used to build tensor powers of
+    # dimension 2^k and 600 ended in a RecursionError
+    desc = "u"
+    for _ in range(levels):
+        desc = f"tensor({desc},u)"
+    t0 = time.process_time()
+    rc = cli.main(["build", "--series", "sl", "--n", "2", "--corep", desc])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert ("dimension" in captured.err) == (levels < dual.MAX_DESCRIPTOR_DEPTH)
+    assert time.process_time() - t0 < 5
+
+
 LEAVES = ("1", "u", "uc", "minor:1", "minor:2", "minor:0", "minor:x", "",
           "proj:sym(tensor(u,u))", "proj:anti(tensor(u,u))", "proj:sym(u)")
 HEADS = ("tensor", "dsum", "proj:sym", "proj:anti", "minor:")

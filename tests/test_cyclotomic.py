@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfodc.cyclotomic import (
     CycRing,
@@ -11,6 +12,8 @@ from qfodc.cyclotomic import (
     cyclotomic_coeffs,
 )
 from qfodc.scalar import FieldConfig, ONE, Scalar, ZERO
+
+from strategies import cyc_coeffs, cyc_elems, scalars
 
 
 def test_cyclotomic_coeffs():
@@ -89,3 +92,195 @@ def test_zeta_values_sum_to_zero():
         v = z.value
         total = total + (ring.lift(v) if isinstance(v, Scalar) else v)
     assert total.is_zero()
+
+
+def test_rational_elements_hash_as_their_scalar():
+    ring = CycRing(3)
+    z = ring.root_power(1)
+    for s in (ZERO, ONE, Scalar.p_power(-2), Scalar({0: 3, 2: -1}, {0: 2, 1: 1})):
+        computed = (s * z) * z * z   # s z^3 = s, reached through arithmetic
+        for e in (ring.lift(s), computed):
+            assert e == s and s == e
+            assert hash(e) == hash(s)
+            assert len({e, s}) == 1
+            assert e.rational_part() == s
+    assert z.rational_part() is None
+    assert z != ONE and z != ring.one
+
+
+# ---------------------------------------------------------------------------
+# differential tests against per-coefficient arithmetic
+# ---------------------------------------------------------------------------
+
+class RefElem:
+    """Reference: an element of Q(p)[x]/Phi_n as a tuple of reduced Scalar
+    coefficients, every coefficient product and sum normalised on its own."""
+
+    def __init__(self, ring, coeffs):
+        self.ring = ring
+        self.coeffs = tuple(coeffs)
+
+    def __add__(self, o):
+        return RefElem(self.ring, (a + b for a, b in zip(self.coeffs, o.coeffs)))
+
+    def __sub__(self, o):
+        return RefElem(self.ring, (a - b for a, b in zip(self.coeffs, o.coeffs)))
+
+    def __neg__(self):
+        return RefElem(self.ring, (-a for a in self.coeffs))
+
+    def __mul__(self, o):
+        d = self.ring.degree
+        prod = [ZERO] * (2 * d - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                prod[i + j] = prod[i + j] + a * b
+        out = prod[:d]
+        for k in range(d, 2 * d - 1):
+            red = self.ring._reduction[k]
+            out = [w + prod[k] * Scalar.from_int(r) for w, r in zip(out, red)]
+        return RefElem(self.ring, out)
+
+    def inverse(self):
+        # Bezout over Q(p): s * a + t * Phi = const
+        r0 = [Scalar.from_int(c) for c in self.ring.modulus]
+        r1 = _trim(self.coeffs)
+        s0, s1 = [ZERO], [ONE]
+        while len(r1) > 1:
+            q, r = _divmod(r0, r1)
+            r0, r1 = r1, r
+            prod = [ZERO] * (len(q) + len(s1) - 1)
+            for i, x in enumerate(q):
+                for j, y in enumerate(s1):
+                    prod[i + j] = prod[i + j] + x * y
+            n = max(len(s0), len(prod))
+            s0, s1 = s1, [(s0[i] if i < len(s0) else ZERO)
+                          - (prod[i] if i < len(prod) else ZERO) for i in range(n)]
+        c = r1[0].inverse()
+        out = [c * v for v in s1] + [ZERO] * self.ring.degree
+        return RefElem(self.ring, out[: self.ring.degree])
+
+    def __eq__(self, o):
+        return self.coeffs == o.coeffs
+
+    def rational_part(self):
+        if all(c.is_zero() for c in self.coeffs[1:]):
+            return self.coeffs[0]
+        return None
+
+    def complexity(self):
+        return sum(len(c.num) + len(c.den) for c in self.coeffs)
+
+    def __str__(self):
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                zi = "zeta" if i == 1 else f"zeta^{i}"
+                parts.append(f"({c})*{zi}")
+        return " + ".join(parts) if parts else "0"
+
+
+def _trim(a):
+    a = list(a)
+    while len(a) > 1 and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def _divmod(a, b):
+    a, b = _trim(a), _trim(b)
+    q = [ZERO] * max(1, len(a) - len(b) + 1)
+    inv = b[-1].inverse()
+    while len(a) >= len(b) and not (len(a) == 1 and a[0].is_zero()):
+        k = len(a) - len(b)
+        c = a[-1] * inv
+        q[k] = c
+        for i in range(len(b)):
+            a[k + i] = a[k + i] - c * b[i]
+        a = _trim(a)
+    return _trim(q), a
+
+
+def _agree(elem, ref):
+    """elem (CycElem) and ref (RefElem) are the same field element, and elem
+    is the unique canonical form of it."""
+    ring = elem.ring
+    assert elem.coeffs == ref.coeffs
+    assert elem == ring.from_coeffs(ref.coeffs)
+    assert hash(elem) == hash(ring.from_coeffs(ref.coeffs))
+    assert str(elem) == str(ref)
+    assert elem.complexity() == ref.complexity()
+    assert elem.is_zero() == all(c.is_zero() for c in ref.coeffs)
+    rat = ref.rational_part()
+    assert elem.rational_part() == rat
+    if rat is not None:
+        assert elem == rat and hash(elem) == hash(rat)
+
+
+ORDERS = st.sampled_from([3, 4, 5, 6])
+
+
+def _pair(order):
+    return st.tuples(st.just(order), cyc_coeffs(order), cyc_coeffs(order))
+
+
+@settings(deadline=None, max_examples=150)
+@given(ORDERS.flatmap(_pair))
+def test_arithmetic_matches_per_coefficient_reference(case):
+    order, ca, cb = case
+    ring = CycRing(order)
+    a, b = ring.from_coeffs(ca), ring.from_coeffs(cb)
+    ra, rb = RefElem(ring, ca), RefElem(ring, cb)
+    _agree(a, ra)
+    _agree(b, rb)
+    _agree(a + b, ra + rb)
+    _agree(a - b, ra - rb)
+    _agree(-a, -ra)
+    _agree(a * b, ra * rb)
+    _agree(b * a, ra * rb)
+    assert (a == b) == (ra == rb)
+    assert (a + b) - b == a
+    for s in (cb[0], ca[-1]):
+        rs = RefElem(ring, [s] + [ZERO] * (ring.degree - 1))
+        _agree(a * s, ra * rs)
+        _agree(s * a, ra * rs)
+        _agree(a + s, ra + rs)
+        _agree(s - a, rs - ra)
+
+
+@settings(deadline=None, max_examples=40)
+@given(ORDERS.flatmap(lambda n: st.tuples(st.just(n), cyc_coeffs(n))))
+def test_inverse_matches_per_coefficient_reference(case):
+    order, ca = case
+    ring = CycRing(order)
+    a, ra = ring.from_coeffs(ca), RefElem(ring, ca)
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    _agree(a.inverse(), ra.inverse())
+    assert a * a.inverse() == ring.one
+    assert a.inverse() * a == ONE
+
+
+@settings(deadline=None, max_examples=50)
+@given(ORDERS.flatmap(lambda n: st.tuples(cyc_elems(n), cyc_elems(n), cyc_elems(n))))
+def test_ring_axioms_on_canonical_forms(case):
+    a, b, c = case
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert hash((a + b) - b) == hash(a)
+    if not b.is_zero():
+        assert (a * b) / b == a
+
+
+@given(scalars())
+def test_lift_is_canonical_scalar(s):
+    for order in (3, 4, 5, 6):
+        e = CycRing(order).lift(s)
+        assert e == s and hash(e) == hash(s) and str(e) == str(s)
+        assert e.complexity() == len(s.num) + len(s.den) + CycRing(order).degree - 1
