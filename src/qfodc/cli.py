@@ -178,7 +178,7 @@ def cmd_classify(args):
         v = ws.corep(args.central)
         c = fodc.central_element(ws, v, zeta)
         gens = fodc.quantum_lie_from_central(ws, c)
-        rows = ws.eval_rows(gens, degree)
+        rows = dual.word_values(gens, degree)
         report = fodc.classify(ws, rows, f"central c_{zeta}({args.central})",
                                frame_bound=args.frame_bound, basis=gens)
         report.central_label = c.label
@@ -188,7 +188,7 @@ def cmd_classify(args):
         rows = lie.rows(degree)
         report = fodc.classify(ws, rows, f"X_{zeta}({args.corep})",
                                frame_bound=args.frame_bound, basis=lie.basis)
-        report.central_label = fodc.central_element(ws, v, zeta).label
+        report.central_label = fodc.central_label(v, zeta)
     else:
         raise UnsupportedConfigError("classify needs --corep or --central")
     payload = json.loads(report.to_json())
@@ -248,8 +248,7 @@ def _verify_minor_tau(ws, args):
     for k in ks:
         v = ws.corep("u" if k == 1 else f"minor:{k}")
         l_D = ws.l_entry(v, 0, 0)
-        frame = YoungWeight(tuple(0 if t != k - 1 else 1 for t in range(k)))
-        tau = ws.tau_functional(frame)
+        tau = ws.tau_functional(YoungWeight.fundamental(k))
         eq, deg = ws.functional_equal(l_D, tau, degree)
         results[f"k={k}"] = {"equal": eq, "cert_degree": deg}
         ok = ok and eq
@@ -263,7 +262,7 @@ def _verify_centrality(ws, args):
     c = fodc.central_element(ws, v, zeta)
     central = fodc.is_central(ws, c, degree)
     pe = c - ws.eps_functional().scaled(c.value_at_unit())
-    row = pe.word_values(ws.N, degree)
+    row = pe.word_values(degree)
     lie = fodc.QuantumLieAlgebra(ws, v, zeta)
     in_span = linalg.in_row_space(linalg.echelon(lie.rows(degree)), row)
     nonzero = bool(row)
@@ -355,7 +354,7 @@ def _verify_central_generates(ws, args):
     v = ws.corep(args.corep)
     c = fodc.central_element(ws, v, zeta)
     gens = fodc.quantum_lie_from_central(ws, c)
-    rows_c = ws.eval_rows(gens, degree)
+    rows_c = dual.word_values(gens, degree)
     lie = fodc.QuantumLieAlgebra(ws, v, zeta)
     (ra, rb), rab = linalg.span_ranks(rows_c, lie.rows(degree))
     ok = ra == rb == rab

@@ -307,7 +307,7 @@ def trivial_corep():
 
 def fundamental_corep(N):
     entries = [[CoordElem.generator(i + 1, j + 1) for j in range(N)] for i in range(N)]
-    return Corep(entries, "u", frame=YoungWeight((1,)), irreducible=True)
+    return Corep(entries, "u", frame=YoungWeight.fundamental(1), irreducible=True)
 
 
 def tensor(v, w):
@@ -353,8 +353,7 @@ def minor_corep(N, k, relations):
     minors = quantum_minors(N, k, relations)
     sets = list(combinations(range(1, N + 1), k))
     entries = [[minors[(ji, ii)] for ii in sets] for ji in sets]
-    frame = YoungWeight(tuple(0 if t != k - 1 else 1 for t in range(k)))
-    return Corep(entries, f"minor:{k}", frame=frame, irreducible=True)
+    return Corep(entries, f"minor:{k}", frame=YoungWeight.fundamental(k), irreducible=True)
 
 
 def projected_corep(parent, pmat, labels, label, frame=None, irreducible=None):
@@ -410,6 +409,11 @@ class YoungWeight:
     def __post_init__(self):
         if any(x < 0 for x in self.m):
             raise ValueError("negative column multiplicity")
+
+    @classmethod
+    def fundamental(cls, k):
+        """The frame of the fundamental weight omega_k: one column of height k."""
+        return cls((0,) * (k - 1) + (1,))
 
     @property
     def trivial(self):

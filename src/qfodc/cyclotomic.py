@@ -453,7 +453,7 @@ class Zeta:
 
     def __init__(self, order, index):
         index %= order
-        g = _gcd(index, order) if index else order
+        g = _igcd(index, order)
         self.order = order // g
         self.index = (index // g) % self.order if self.order > 1 else 0
         if self.order == 1:
@@ -497,12 +497,6 @@ class Zeta:
         return f"zeta{self.order}^{self.index}"
 
     __repr__ = __str__
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def admissible_zeta(config, root_order, power=1):

@@ -192,52 +192,25 @@ def conv(f, g, name=None):
     return MatRep(N, labels, gens, name or f"conv({f.name},{g.name})")
 
 
-def conv_power(f, k, name=None):
-    """k-fold convolution power with flat k-tuple labels."""
-    N = f.N
-    labels = [tuple(t) for t in product(f.labels, repeat=k)]
-    gens = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            acc = {}
-            for middle in product(range(1, N + 1), repeat=k - 1):
-                chain = []
-                idx = (i,) + middle + (j,)
-                ok = True
-                for t in range(k):
-                    m = f.gens.get((idx[t], idx[t + 1]))
-                    if not m:
-                        ok = False
-                        break
-                    chain.append(m)
-                if not ok:
-                    continue
-                # tensor the chain
-                partial = [((), ONE, ())]  # (row_prefix, value, col_prefix)
-                for m in chain:
-                    nxt = []
-                    for rp, val, cp in partial:
-                        for a, mrow in m.items():
-                            for b, v in mrow.items():
-                                nxt.append((rp + (a,), val * v, cp + (b,)))
-                    partial = nxt
-                for rp, val, cp in partial:
-                    row = acc.setdefault(rp, {})
-                    s = row.get(cp)
-                    if s is None:
-                        row[cp] = val
-                    else:
-                        s = s + val
-                        if s.is_zero():
-                            del row[cp]
-                        else:
-                            row[cp] = s
-            acc = {r: row for r, row in acc.items() if row}
-            if acc:
-                gens[(i, j)] = acc
-    if k == 0:
-        return MatRep(N, [()], {(i, i): {(): {(): ONE}} for i in range(1, N + 1)}, name or "eps")
-    return MatRep(N, labels, gens, name or f"{f.name}^*{k}")
+def conv_power(f, k):
+    """k-fold convolution power f * ... * f, the left fold of conv.  Its
+    labels are conv's left-nested pairs, nested_label((a1, ..., ak))."""
+    if k < 1:
+        raise ValueError(f"convolution power needs k >= 1, got {k}")
+    rep = f
+    for t in range(2, k + 1):
+        rep = conv(rep, f, f"{f.name}^*{t}")
+    return rep
+
+
+def nested_label(seq):
+    """The label (((a1, a2), a3), ...) that a left fold of conv gives the
+    factors' labels a1, a2, ...; a single label stays as it is."""
+    it = iter(seq)
+    lab = next(it)
+    for a in it:
+        lab = (lab, a)
+    return lab
 
 
 def antipode_rep(f, config):
@@ -326,7 +299,7 @@ class Functional:
                 total = c * v + total
         return total
 
-    def word_values(self, N, degree):
+    def word_values(self, degree):
         """Values on all words of degree <= degree, as {word: value}; words
         with value exactly zero are omitted."""
         return word_values([self], degree)[0]
@@ -426,10 +399,7 @@ class Workspace:
         self.lplus = lplus(config, self.rdata)
         self.lminus = lminus(config, self.rdata)
         self._eps = eps_rep(config)
-        self._cp_plus = {}
-        self._cp_minus = {}
-        self._r_memo = {}
-        self._rbar_memo = {}
+        self._pair_memo = {}
         self._coreps = {}
         self._corep_reps = {}
         self._separators = None
@@ -443,15 +413,12 @@ class Workspace:
     def eps_functional(self):
         return Functional([(self._eps, 0, 0, ONE)], "eps")
 
-    def conv_power_plus(self, k):
-        if k not in self._cp_plus:
-            self._cp_plus[k] = conv_power(self.lplus, k)
-        return self._cp_plus[k]
-
-    def conv_power_minus(self, k):
-        if k not in self._cp_minus:
-            self._cp_minus[k] = conv_power(self.lminus, k)
-        return self._cp_minus[k]
+    def power(self, base, k):
+        """conv_power(base, k), cached per (base, k)."""
+        key = ("power", base.uid, k)
+        if key not in self._corep_reps:
+            self._corep_reps[key] = conv_power(base, k)
+        return self._corep_reps[key]
 
     def convolve(self, f, g):
         """f * g as a Functional.  For f = sum a F[r, c] and g = sum b G[r', c'],
@@ -479,60 +446,45 @@ class Workspace:
 
     # -- universal r-form on words -------------------------------------------
 
-    def _r_words(self, w1, w2):
-        key = (w1, w2)
-        v = self._r_memo.get(key)
-        if v is not None:
-            return v
-        l = len(w2)
-        if l == 0:
-            v = ONE if all(i == j for i, j in w1) else ZERO
-        else:
-            rep = self.conv_power_plus(l)
-            row = tuple(p[0] for p in reversed(w2))
-            col = tuple(p[1] for p in reversed(w2))
-            v = rep.entry_on_word(row, col, w1)
-        self._r_memo[key] = v
+    def _pair_words(self, base, word, fixed):
+        """The entry of power(base, |fixed|) at the index pairs of fixed,
+        read right to left, on word: r(word (x) fixed) for base L+ and
+        rbar(fixed (x) word) for base L-.  The empty fixed word gives the
+        counit of word."""
+        key = (base.uid, word, fixed)
+        v = self._pair_memo.get(key)
+        if v is None:
+            if not fixed:
+                v = ONE if all(i == j for i, j in word) else ZERO
+            else:
+                rev = fixed[::-1]
+                v = self.power(base, len(fixed)).entry_on_word(
+                    nested_label(i for i, _ in rev), nested_label(j for _, j in rev), word
+                )
+            self._pair_memo[key] = v
         return v
 
-    def _rbar_words(self, w1, w2):
-        key = (w1, w2)
-        v = self._rbar_memo.get(key)
-        if v is not None:
-            return v
-        l = len(w1)
-        if l == 0:
-            v = ONE if all(i == j for i, j in w2) else ZERO
-        else:
-            rep = self.conv_power_minus(l)
-            row = tuple(p[0] for p in reversed(w1))
-            col = tuple(p[1] for p in reversed(w1))
-            v = rep.entry_on_word(row, col, w2)
-        self._rbar_memo[key] = v
-        return v
+    def _pairing(self, base, a, b):
+        """Bilinear extension of _pair_words(base, w1, w2) over the words
+        w1 of a and w2 of b."""
+        total = ZERO
+        for w1, c1 in a.terms.items():
+            for w2, c2 in b.terms.items():
+                v = self._pair_words(base, w1, w2)
+                if not v.is_zero():
+                    total = total + c1 * c2 * v
+        return total
 
     def r_form(self, a, b):
         """The universal r-form extended to word pairs by the bicharacter
         axioms (with the leg-order reversal in the second slot)."""
-        total = ZERO
-        for w1, c1 in a.terms.items():
-            for w2, c2 in b.terms.items():
-                v = self._r_words(w1, w2)
-                if not v.is_zero():
-                    total = total + c1 * c2 * v
-        return total
+        return self._pairing(self.lplus, a, b)
 
     def rbar_form(self, a, b):
         """Convolution inverse of the r-form, extended from R^{-1} by the
         inverse bicharacter axioms (degree-preserving; agrees with
         r(S(a) (x) b), which is spot-checked in the tests)."""
-        total = ZERO
-        for w1, c1 in a.terms.items():
-            for w2, c2 in b.terms.items():
-                v = self._rbar_words(w1, w2)
-                if not v.is_zero():
-                    total = total + c1 * c2 * v
-        return total
+        return self._pairing(self.lminus, b, a)
 
     def q_form(self, a, b):
         """q(a (x) b) = r(b1 (x) a1) r(a2 (x) b2), the factorizability form."""
@@ -541,10 +493,10 @@ class Workspace:
         db = coordalg.coproduct(b, self.N)
         for (a1, a2), ca in da.items():
             for (b1, b2), cb in db.items():
-                v1 = self._r_words(b1, a1)
+                v1 = self._pair_words(self.lplus, b1, a1)
                 if v1.is_zero():
                     continue
-                v2 = self._r_words(a2, b2)
+                v2 = self._pair_words(self.lplus, a2, b2)
                 if v2.is_zero():
                     continue
                 total = total + ca * cb * v1 * v2
@@ -754,7 +706,7 @@ class Workspace:
                 )
             labels = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
             frame = YoungWeight((2,)) if which == "sym" else (
-                YoungWeight((0, 1)) if self.config.rank >= 2 else None
+                YoungWeight.fundamental(2) if self.config.rank >= 2 else None
             )
             cor = coordalg.projected_corep(
                 parent, pmat, labels, desc,
@@ -808,9 +760,11 @@ class Workspace:
 
     # -- L-functionals of arbitrary coreps --------------------------------------
 
-    def lplus_corep(self, v):
-        """MatRep with l+[v]^i_j = r(. (x) v^i_j)."""
-        key = ("l+", v.label)
+    def l_corep(self, base, v):
+        """MatRep of the L-functionals of v over base L+ or L-: u^a_b maps
+        to the matrix [_pairing(base, u^a_b, v^i_j)], so that
+        l+[v]^i_j = r(. (x) v^i_j) and l-[v]^i_j = rbar(v^i_j (x) .)."""
+        key = ("L", base.uid, v.label)
         if key in self._corep_reps:
             return self._corep_reps[key]
         N = self.N
@@ -821,34 +775,12 @@ class Workspace:
                 m = {}
                 for i in range(v.dim):
                     for j in range(v.dim):
-                        val = self.r_form(g, v.entries[i][j])
+                        val = self._pairing(base, g, v.entries[i][j])
                         if not val.is_zero():
                             m.setdefault(i + 1, {})[j + 1] = val
                 if m:
                     gens[(a, b)] = m
-        rep = MatRep(N, range(1, v.dim + 1), gens, f"L+[{v.label}]")
-        self._corep_reps[key] = rep
-        return rep
-
-    def lminus_corep(self, v):
-        """MatRep with l-[v]^i_j = rbar(v^i_j (x) .)."""
-        key = ("l-", v.label)
-        if key in self._corep_reps:
-            return self._corep_reps[key]
-        N = self.N
-        gens = {}
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                g = CoordElem.generator(a, b)
-                m = {}
-                for i in range(v.dim):
-                    for j in range(v.dim):
-                        val = self.rbar_form(v.entries[i][j], g)
-                        if not val.is_zero():
-                            m.setdefault(i + 1, {})[j + 1] = val
-                if m:
-                    gens[(a, b)] = m
-        rep = MatRep(N, range(1, v.dim + 1), gens, f"L-[{v.label}]")
+        rep = MatRep(N, range(1, v.dim + 1), gens, f"{base.name}[{v.label}]")
         self._corep_reps[key] = rep
         return rep
 
@@ -857,8 +789,8 @@ class Workspace:
         key = ("m", v.label)
         if key in self._corep_reps:
             return self._corep_reps[key]
-        srep = antipode_rep(self.lminus_corep(v), self.config)
-        rep = conv(srep, self.lplus_corep(v), name=f"M[{v.label}]")
+        srep = antipode_rep(self.l_corep(self.lminus, v), self.config)
+        rep = conv(srep, self.l_corep(self.lplus, v), name=f"M[{v.label}]")
         self._corep_reps[key] = rep
         return rep
 
@@ -900,14 +832,14 @@ class Workspace:
             seq.extend(list(range(1, k + 1)) * (2 * mult))
         if not seq:
             return self.eps_functional()
-        rep = self.conv_power_plus(len(seq))
-        lab = tuple(seq)
+        rep = self.power(self.lplus, len(seq))
+        lab = nested_label(seq)
         return Functional([(rep, lab, lab, ONE)], f"tau(-2*{weight})")
 
     def k_functional(self, i):
         """K_i = l-^1_1 ... l-^i_i."""
-        rep = self.conv_power_minus(i)
-        lab = tuple(range(1, i + 1))
+        rep = self.power(self.lminus, i)
+        lab = nested_label(range(1, i + 1))
         return Functional([(rep, lab, lab, ONE)], f"K_{i}")
 
     def k_alpha_functional(self, i):
@@ -918,8 +850,8 @@ class Workspace:
             e = a[j - 1][i - 1]
             if e == 0:
                 continue
-            base = self.conv_power_minus(j)
-            lab = tuple(range(1, j + 1))
+            base = self.power(self.lminus, j)
+            lab = nested_label(range(1, j + 1))
             if e < 0:
                 base = antipode_rep(base, self.config)
                 e = -e
@@ -965,10 +897,6 @@ class Workspace:
 
     # -- evaluation matrices, ranks, equality --------------------------------------
 
-    def eval_rows(self, fs, degree):
-        """Sparse evaluation rows {word: value} for each functional."""
-        return word_values(fs, degree)
-
     def stabilized_rank(self, rows_at, policy=None):
         """Escalate the evaluation degree until the rank of rows_at(degree)
         is constant over the stability window; returns (rank,
@@ -992,12 +920,10 @@ class Workspace:
         """Equality of functionals on all words up to the certification
         degree.  False is definitive; True certifies up to the degree."""
         degree = positive_or_default(degree, self.policy.d_max, "degree")
-        vf = f.word_values(self.N, degree)
-        vg = g.word_values(self.N, degree)
+        vf = f.word_values(degree)
+        vg = g.word_values(degree)
         for w in set(vf) | set(vg):
-            a = vf.get(w, ZERO)
-            b = vg.get(w, ZERO)
-            if not _values_equal(a, b):
+            if not (vf.get(w, ZERO) - vg.get(w, ZERO)).is_zero():
                 return False, len(w)
         return True, degree
 
@@ -1007,7 +933,7 @@ class Workspace:
         stay in the span) and _ad_invariant (ad_R by every l+/l- generator
         entry maps the basis into the span).  Returns (ok, degree)."""
         degree = positive_or_default(degree, self.policy.start_degree + 1, "degree")
-        rows = self.eval_rows(basis, degree) + [eps_word_values(degree, self.N)]
+        rows = word_values(basis, degree) + [eps_word_values(degree, self.N)]
         ok = self._right_coideal(rows, degree) and self._ad_invariant(basis, rows, degree)
         return ok, degree
 
@@ -1071,18 +997,11 @@ class Workspace:
 
     def export_eval_matrix(self, fs, degree):
         words = all_words(self.N, degree)
-        rows = self.eval_rows(fs, degree)
+        rows = word_values(fs, degree)
         return {
             "columns": [coordalg.word_str(w) for w in words],
             "rows": [[str(r.get(w, ZERO)) for w in words] for r in rows],
         }
-
-
-def _values_equal(a, b):
-    d = a - b
-    if isinstance(d, bool):
-        return d
-    return d.is_zero()
 
 
 def _tensor_position_map(N, k):

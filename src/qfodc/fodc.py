@@ -228,6 +228,11 @@ def d_inverse_matrix(ws, v):
     return out
 
 
+def central_label(v, zeta):
+    """The label of central_element(ws, v, zeta)."""
+    return f"c[{zeta}]({v.label})"
+
+
 def central_element(ws, v, zeta):
     """c_zeta(v) = sum_ij eps_zeta l(v^i_j) (D^{-1})^j_i."""
     dinv = d_inverse_matrix(ws, v)
@@ -240,7 +245,7 @@ def central_element(ws, v, zeta):
                 continue
             for k in range(1, v.dim + 1):
                 terms.append((xrep, (0, (k, k)), (0, (i + 1, j + 1)), c))
-    return Functional(terms, f"c[{zeta}]({v.label})")
+    return Functional(terms, central_label(v, zeta))
 
 
 def convolution_values(ws, combos, degree):
@@ -257,7 +262,7 @@ def convolution_values(ws, combos, degree):
         for k, f, g in combo:
             terms += ws.convolve(f, g).scaled(k).terms
         fs.append(Functional(terms))
-    return ws.eval_rows(fs, degree)
+    return dual.word_values(fs, degree)
 
 
 def is_central(ws, c, degree=3):
@@ -280,7 +285,7 @@ def quantum_lie_from_central(ws, c, policy=None, check=True):
         raise NotCentralError("functional is not central")
     degree = policy.start_degree + 1
     N = ws.N
-    ctab = c.word_values(N, 2 * degree)
+    ctab = c.word_values(2 * degree)
     words = dual.all_words(N, degree)
     basis = []
     picked = []
@@ -433,7 +438,7 @@ def candidate_library(ws, frame_bound=2):
     for k in range(1, n + 1):
         if ws.config.series == "C" and k > 1:
             break
-        frame = YoungWeight(tuple(0 if t != k - 1 else 1 for t in range(k)))
+        frame = YoungWeight.fundamental(k)
         if sum((t + 1) * m for t, m in enumerate(frame.m)) <= frame_bound:
             out.append((frame, "u" if k == 1 else f"minor:{k}"))
     if frame_bound >= 2 and ws.config.series == "A":

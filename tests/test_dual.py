@@ -1,9 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from qfodc import coordalg, dual, linalg
+from qfodc import coordalg, dual, linalg, rmat
 from qfodc.coordalg import CoordElem, YoungWeight, coproduct, coproduct_splits
 from qfodc.cyclotomic import Zeta, all_admissible
 from qfodc.dual import (
@@ -179,6 +180,75 @@ def test_eps_zeta_conv_is_grading(ws3):
             assert diff.is_zero()
 
 
+# -- convolution powers -------------------------------------------------------
+
+def _chain_power(f, k):
+    """The k-fold convolution power summed chain by chain: generator (i, j)
+    is the sum over middle indices m1..m(k-1) of the tensor product of
+    f(u^i_m1), f(u^m1_m2), ..., f(u^m(k-1)_j), with flat k-tuple labels."""
+    N = f.N
+    gens = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            acc = {}
+            for middle in itertools.product(range(1, N + 1), repeat=k - 1):
+                idx = (i,) + middle + (j,)
+                chain = [f.gens.get((idx[t], idx[t + 1])) for t in range(k)]
+                if not all(chain):
+                    continue
+                partial = [((), ONE, ())]
+                for m in chain:
+                    partial = [
+                        (rp + (a,), val * v, cp + (b,))
+                        for rp, val, cp in partial
+                        for a, mrow in m.items()
+                        for b, v in mrow.items()
+                    ]
+                for rp, val, cp in partial:
+                    row = acc.setdefault(rp, {})
+                    row[cp] = row[cp] + val if cp in row else val
+            acc = {
+                r: {c: v for c, v in row.items() if not v.is_zero()}
+                for r, row in acc.items()
+            }
+            acc = {r: row for r, row in acc.items() if row}
+            if acc:
+                gens[(i, j)] = acc
+    return gens
+
+
+@pytest.mark.parametrize(
+    "config", [FieldConfig.sl(3), FieldConfig.sl(4), FieldConfig.sp(2)], ids=str
+)
+def test_conv_power_matches_chain_sum(config):
+    rdata = rmat.build_r(config)
+    for f in (dual.lplus(config, rdata), dual.lminus(config, rdata)):
+        for k in range(1, 5):
+            want = {
+                key: {
+                    dual.nested_label(r): {dual.nested_label(c): v for c, v in row.items()}
+                    for r, row in m.items()
+                }
+                for key, m in _chain_power(f, k).items()
+            }
+            assert dual.conv_power(f, k).gens == want, (f.name, k)
+
+
+def test_conv_power_rejects_k_below_one(ws2):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1"):
+            dual.conv_power(ws2.lplus, k)
+
+
+def test_pair_words_on_the_empty_fixed_word_is_the_counit(ws2):
+    rng = random.Random(5)
+    for base in (ws2.lplus, ws2.lminus):
+        assert ws2._pair_words(base, (), ()) == ONE
+        for _ in range(10):
+            w = rand_word(rng, 2, 3)
+            assert ws2._pair_words(base, w, ()) == CoordElem.from_word(w).counit()
+
+
 # -- r-form -----------------------------------------------------------------
 
 def test_r_form_unit_laws(ws2):
@@ -211,15 +281,15 @@ def test_r_form_bicharacter_axioms(ws2):
         a = rand_word(rng, N, 2)
         b = rand_word(rng, N, 2)
         c = rand_word(rng, N, 2)
-        lhs = ws2._r_words(a + b, c)
+        lhs = ws2._pair_words(ws2.lplus, a + b, c)
         rhs = ZERO
         for c1, c2 in coproduct_splits(c, N):
-            rhs = rhs + ws2._r_words(a, c1) * ws2._r_words(b, c2)
+            rhs = rhs + ws2._pair_words(ws2.lplus, a, c1) * ws2._pair_words(ws2.lplus, b, c2)
         assert lhs == rhs
-        lhs2 = ws2._r_words(a, b + c)
+        lhs2 = ws2._pair_words(ws2.lplus, a, b + c)
         rhs2 = ZERO
         for a1, a2 in coproduct_splits(a, N):
-            rhs2 = rhs2 + ws2._r_words(a1, c) * ws2._r_words(a2, b)
+            rhs2 = rhs2 + ws2._pair_words(ws2.lplus, a1, c) * ws2._pair_words(ws2.lplus, a2, b)
         assert lhs2 == rhs2
 
 
@@ -233,13 +303,15 @@ def test_rbar_is_convolution_inverse(ws2):
         total = ZERO
         for (a1, a2) in coproduct_splits(wa, N):
             for (b1, b2) in coproduct_splits(wb, N):
-                total = total + ws2._rbar_words(a1, b1) * ws2._r_words(a2, b2)
+                total = total + ws2._pair_words(ws2.lminus, b1, a1) * \
+                    ws2._pair_words(ws2.lplus, a2, b2)
         assert total == a.counit() * b.counit()
         # and the other composition order
         total = ZERO
         for (a1, a2) in coproduct_splits(wa, N):
             for (b1, b2) in coproduct_splits(wb, N):
-                total = total + ws2._r_words(a1, b1) * ws2._rbar_words(a2, b2)
+                total = total + ws2._pair_words(ws2.lplus, a1, b1) * \
+                    ws2._pair_words(ws2.lminus, b2, a2)
         assert total == a.counit() * b.counit()
 
 
@@ -369,7 +441,7 @@ def test_ad_r_rejects_multi_rep(ws2):
 # -- evaluation matrices, ranks --------------------------------------------
 
 def test_rank_of_counit(ws2):
-    assert linalg.rank(ws2.eval_rows([ws2.eps_functional()], 2)) == 1
+    assert linalg.rank(dual.word_values([ws2.eps_functional()], 2)) == 1
 
 
 def test_span_ranks():
@@ -389,7 +461,7 @@ def test_l_entries_rank_stabilizes_at_five(ws2):
     u = ws2.corep("u")
     fs = [ws2.l_entry(u, i, j) for i in range(2) for j in range(2)]
     fs.append(ws2.eps_functional())
-    r, deg, _ = ws2.stabilized_rank(lambda d: ws2.eval_rows(fs, d))
+    r, deg, _ = ws2.stabilized_rank(lambda d: dual.word_values(fs, d))
     assert r == 5
     assert deg == 3
 
@@ -397,7 +469,7 @@ def test_l_entries_rank_stabilizes_at_five(ws2):
 def test_trivial_corep_rank_one(ws2):
     one = ws2.corep("1")
     fs = [ws2.l_entry(one, 0, 0)]
-    r, _, _ = ws2.stabilized_rank(lambda d: ws2.eval_rows(fs, d))
+    r, _, _ = ws2.stabilized_rank(lambda d: dual.word_values(fs, d))
     assert r == 1  # only eps survives
 
 
@@ -482,7 +554,7 @@ def test_coideal_lplus_entry_fails(ws2):
 
 
 def _span_rows(ws, basis, degree):
-    return ws.eval_rows(basis, degree) + [dual.eps_word_values(degree, ws.N)]
+    return dual.word_values(basis, degree) + [dual.eps_word_values(degree, ws.N)]
 
 
 def test_right_coideal_certificate_rejects_off_diagonal(ws2):
@@ -504,7 +576,7 @@ def test_ad_invariance_certificate_rejects_diagonal(ws2):
 def test_corep_rep_multiplicative(ws3):
     # spot-verify the structural multiplicativity of a constructed
     # corepresentation rep on random word pairs
-    rep = ws3.lplus_corep(ws3.corep("minor:2"))
+    rep = ws3.l_corep(ws3.lplus, ws3.corep("minor:2"))
     rng = random.Random(73)
     for _ in range(8):
         w1 = rand_word(rng, 3, 2)
@@ -519,9 +591,9 @@ def test_two_leg_telescoping_identity(ws3):
     # sum_M S(l-(D^I_M)) (x) l+(D^M_I) = (l+^1_1 l+^2_2) (x) (l+^1_1 l+^2_2)
     # as functionals on word pairs
     v2 = ws3.corep("minor:2")
-    srep = antipode_rep(ws3.lminus_corep(v2), ws3.config)
-    lp = ws3.lplus_corep(v2)
-    cp2 = ws3.conv_power_plus(2)
+    srep = antipode_rep(ws3.l_corep(ws3.lminus, v2), ws3.config)
+    lp = ws3.l_corep(ws3.lplus, v2)
+    cp2 = ws3.power(ws3.lplus, 2)
     lab = (1, 2)
     rng = random.Random(99)
     words = all_words(3, 2)
