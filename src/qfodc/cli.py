@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import dual, fodc, linalg, rmat
-from .coordalg import CoordElem, NotInvariantError, YoungWeight, peter_weyl_rank
+from . import dual, fodc, rmat
+from .coordalg import NotInvariantError
 from .cyclotomic import InvalidCharacterError, admissible_zeta
 from .dual import Policy, RankUnstableError, Workspace
 from .scalar import FieldConfig, UnsupportedConfigError
@@ -26,17 +25,6 @@ FAILURES = (
     fodc.NotDirectError,
     dual.AntipodeFailureError,
     rmat.SpectralFailureError,
-)
-
-CLAIMS = (
-    "minor-tau",
-    "centrality",
-    "tensor-identity",
-    "coideal",
-    "leibniz",
-    "factorizability",
-    "direct-sum",
-    "central-generates",
 )
 
 
@@ -79,7 +67,7 @@ def make_parser():
     v = sub.add_parser("verify", help="run a named verification claim")
     common(v)
     degree_option(v)
-    v.add_argument("--claim", choices=CLAIMS, required=True)
+    v.add_argument("--claim", choices=tuple(fodc.CLAIMS), required=True)
     v.add_argument("--corep", default="u")
 
     c = sub.add_parser("classify", help="decompose a quantum Lie algebra")
@@ -147,15 +135,12 @@ def emit(args, payload, status):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_build(args):
-    config = field_config(args)
-    ws = Workspace(config, _policy(args))
-    zeta = parse_zeta(config, args.zeta)
+def cmd_build(args, ws, zeta):
     v = ws.corep(args.corep)
     lie = fodc.quantum_lie(ws, v, zeta)
     payload = {
         "command": "build",
-        "config": str(config),
+        "config": str(ws.config),
         "corep": args.corep,
         "corep_dim": v.dim,
         "zeta": str(zeta),
@@ -168,45 +153,33 @@ def cmd_build(args):
     return emit(args, payload, 0)
 
 
-def cmd_classify(args):
-    config = field_config(args)
-    ws = Workspace(config, _policy(args))
-    zeta = parse_zeta(config, args.zeta)
-    policy = ws.policy
-    degree = policy.start_degree + 1 if args.degree is None else args.degree
+def cmd_classify(args, ws, zeta):
+    degree = args.degree or ws.policy.start_degree + 1
     if args.central:
         v = ws.corep(args.central)
-        c = fodc.central_element(ws, v, zeta)
-        gens = fodc.quantum_lie_from_central(ws, c)
-        rows = dual.word_values(gens, degree)
-        report = fodc.classify(ws, rows, f"central c_{zeta}({args.central})",
-                               frame_bound=args.frame_bound, basis=gens)
-        report.central_label = c.label
+        basis, rows = fodc.central_span(ws, v, zeta, degree)
+        descriptor = f"central c_{zeta}({args.central})"
     elif args.corep:
         v = ws.corep(args.corep)
         lie = fodc.QuantumLieAlgebra(ws, v, zeta)
-        rows = lie.rows(degree)
-        report = fodc.classify(ws, rows, f"X_{zeta}({args.corep})",
-                               frame_bound=args.frame_bound, basis=lie.basis)
-        report.central_label = fodc.central_label(v, zeta)
+        basis, rows = lie.basis, lie.rows(degree)
+        descriptor = f"X_{zeta}({args.corep})"
     else:
         raise UnsupportedConfigError("classify needs --corep or --central")
+    report = fodc.classify(ws, rows, descriptor, degree=degree,
+                           frame_bound=args.frame_bound, basis=basis)
+    report.central_label = fodc.central_label(v, zeta)
     payload = json.loads(report.to_json())
     payload["command"] = "classify"
-    status = 0 if report.residual_rank == 0 else 1
-    return emit(args, payload, status)
+    return emit(args, payload, 0 if report.residual_rank == 0 else 1)
 
 
-def cmd_report(args):
-    config = field_config(args)
-    ws = Workspace(config, _policy(args))
-    zeta = parse_zeta(config, args.zeta)
-    v = ws.corep(args.corep)
-    lie = fodc.quantum_lie(ws, v, zeta)
+def cmd_report(args, ws, zeta):
+    lie = fodc.quantum_lie(ws, ws.corep(args.corep), zeta)
     ok_coideal, cdeg = lie.coideal_certificate()
     payload = {
         "command": "report",
-        "config": str(config),
+        "config": str(ws.config),
         "corep": args.corep,
         "zeta": str(zeta),
         "dim": lie.certified_dim,
@@ -219,17 +192,10 @@ def cmd_report(args):
     return emit(args, payload, 0 if ok_coideal else 1)
 
 
-def _policy(args):
-    return Policy(d_max=args.d_max)
-
-
-def cmd_verify(args):
-    config = field_config(args)
-    ws = Workspace(config, _policy(args))
-    claim = args.claim
-    payload = {"command": "verify", "claim": claim, "config": str(config)}
+def cmd_verify(args, ws, zeta):
+    payload = {"command": "verify", "claim": args.claim, "config": str(ws.config)}
     try:
-        ok, details = VERIFIERS[claim](ws, args)
+        ok, details = fodc.CLAIMS[args.claim](ws, args.corep, zeta, args.degree)
     except RankUnstableError as exc:
         payload["status"] = "undecided"
         payload["detail"] = str(exc)
@@ -239,137 +205,11 @@ def cmd_verify(args):
     return emit(args, payload, 0 if ok else 1)
 
 
-def _verify_minor_tau(ws, args):
-    degree = 4 if args.degree is None else args.degree
-    config = ws.config
-    ks = range(1, config.rank + 1) if config.series == "A" else (1,)
-    results = {}
-    ok = True
-    for k in ks:
-        v = ws.corep("u" if k == 1 else f"minor:{k}")
-        l_D = ws.l_entry(v, 0, 0)
-        tau = ws.tau_functional(YoungWeight.fundamental(k))
-        eq, deg = ws.functional_equal(l_D, tau, degree)
-        results[f"k={k}"] = {"equal": eq, "cert_degree": deg}
-        ok = ok and eq
-    return ok, {"results": results, "degree": degree}
-
-
-def _verify_centrality(ws, args):
-    zeta = parse_zeta(ws.config, args.zeta)
-    degree = 3 if args.degree is None else args.degree
-    v = ws.corep(args.corep)
-    c = fodc.central_element(ws, v, zeta)
-    central = fodc.is_central(ws, c, degree)
-    pe = c - ws.eps_functional().scaled(c.value_at_unit())
-    row = pe.word_values(degree)
-    lie = fodc.QuantumLieAlgebra(ws, v, zeta)
-    in_span = linalg.in_row_space(linalg.echelon(lie.rows(degree)), row)
-    nonzero = bool(row)
-    ok = central and nonzero and in_span
-    return ok, {
-        "central": central,
-        "p_eps_nonzero": nonzero,
-        "in_lie_span": in_span,
-        "degree": degree,
-        "zeta": str(zeta),
-    }
-
-
-def _verify_tensor_identity(ws, args):
-    degree = 3 if args.degree is None else args.degree
-    u = ws.corep("u")
-    ok, deg = fodc.tensor_identity_check(ws, u, u, degree)
-    return ok, {"degree": deg}
-
-
-def _verify_coideal(ws, args):
-    zeta = parse_zeta(ws.config, args.zeta)
-    degree = 3 if args.degree is None else args.degree
-    v = ws.corep(args.corep)
-    lie = fodc.QuantumLieAlgebra(ws, v, zeta)
-    ok, deg = lie.coideal_certificate(degree)
-    return ok, {"degree": deg, "zeta": str(zeta), "corep": args.corep}
-
-
-def _verify_leibniz(ws, args):
-    zeta = parse_zeta(ws.config, args.zeta)
-    v = ws.corep(args.corep)
-    cal = fodc.Calculus(ws, v, zeta)
-    rng = random.Random(0)
-    words = dual.all_words(ws.N, 2)
-    checked = 0
-    for _ in range(20):
-        a = CoordElem.from_word(rng.choice(words))
-        b = CoordElem.from_word(rng.choice(words))
-        defect = cal.leibniz_defect(a, b)
-        for coeff in defect.values():
-            eq, _ = ws.separated_equal(coeff, CoordElem(), length=2)
-            if not eq:
-                return False, {"pairs": checked, "zeta": str(zeta)}
-        checked += 1
-    return True, {"pairs": checked, "zeta": str(zeta)}
-
-
-def _verify_factorizability(ws, args):
-    degree = 2 if args.degree is None else args.degree
-    words = dual.all_words(ws.N, degree)
-    gram = []
-    for wi in words:
-        a = CoordElem.from_word(wi)
-        row = {}
-        for wj in words:
-            v = ws.q_form(a, CoordElem.from_word(wj))
-            if not v.is_zero():
-                row[wj] = v
-        gram.append(row)
-    got = linalg.rank(gram)
-    want = peter_weyl_rank(ws.config, degree)
-    return got == want, {"rank": got, "peter_weyl_oracle": want, "degree": degree}
-
-
-def _verify_direct_sum(ws, args):
-    zeta = parse_zeta(ws.config, args.zeta)
-    u = ws.corep("u")
-    triv = ws.corep("1")
-    cal_u = fodc.Calculus(ws, u, zeta)
-    cal_1 = fodc.Calculus(ws, triv, zeta)
-    try:
-        cert = fodc.direct_sum_calculi([cal_1, cal_u])
-    except fodc.NotDirectError as exc:
-        return False, {"detail": str(exc)}
-    lie_sum = fodc.quantum_lie(ws, ws.corep("dsum(1,u)"), zeta)
-    ok = cert.direct and lie_sum.certified_dim == cert.total
-    return ok, {
-        "dims": cert.dims,
-        "total": cert.total,
-        "dsum_corep_dim": lie_sum.certified_dim,
-        "zeta": str(zeta),
-    }
-
-
-def _verify_central_generates(ws, args):
-    zeta = parse_zeta(ws.config, args.zeta)
-    degree = 3 if args.degree is None else args.degree
-    v = ws.corep(args.corep)
-    c = fodc.central_element(ws, v, zeta)
-    gens = fodc.quantum_lie_from_central(ws, c)
-    rows_c = dual.word_values(gens, degree)
-    lie = fodc.QuantumLieAlgebra(ws, v, zeta)
-    (ra, rb), rab = linalg.span_ranks(rows_c, lie.rows(degree))
-    ok = ra == rb == rab
-    return ok, {"rank_central": ra, "rank_lie": rb, "rank_union": rab, "degree": degree}
-
-
-VERIFIERS = {
-    "minor-tau": _verify_minor_tau,
-    "centrality": _verify_centrality,
-    "tensor-identity": _verify_tensor_identity,
-    "coideal": _verify_coideal,
-    "leibniz": _verify_leibniz,
-    "factorizability": _verify_factorizability,
-    "direct-sum": _verify_direct_sum,
-    "central-generates": _verify_central_generates,
+COMMANDS = {
+    "build": cmd_build,
+    "verify": cmd_verify,
+    "classify": cmd_classify,
+    "report": cmd_report,
 }
 
 
@@ -395,14 +235,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
-        if args.command == "build":
-            return cmd_build(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "report":
-            return cmd_report(args)
+        config = field_config(args)
+        ws = Workspace(config, Policy(d_max=args.d_max))
+        zeta = parse_zeta(config, args.zeta)
+        return COMMANDS[args.command](args, ws, zeta)
     except FAILURES as exc:
         sys.stderr.write(f"fail: {exc}\n")
         return 1
@@ -412,7 +248,6 @@ def main(argv=None):
     except RankUnstableError as exc:
         sys.stderr.write(f"undecided: {exc}\n")
         return 2
-    return 3
 
 
 if __name__ == "__main__":

@@ -156,11 +156,13 @@ def conv(f, g, name=None):
 
     Entries represent all pairwise convolution products f^a_b * g^c_d with
     row (a, c) and column (b, d); multiplicativity is inherited because the
-    coproduct is an algebra map.
+    coproduct is an algebra map.  Equal entries share one scalar object.
     """
     N = f.N
     labels = [(a, c) for a in f.labels for c in g.labels]
     gens = {}
+    seen = {}  # keyed by type too: a rational CycElem equals a Scalar
+    products = {}  # keyed by operand identity; f and g keep every operand alive
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             acc = {}
@@ -177,7 +179,9 @@ def conv(f, g, name=None):
                                 row = acc.setdefault(key, {})
                                 colk = (b, d)
                                 s = row.get(colk)
-                                t = fv * gv
+                                t = products.get((id(fv), id(gv)))
+                                if t is None:
+                                    t = products[(id(fv), id(gv))] = fv * gv
                                 if s is None:
                                     row[colk] = t
                                 else:
@@ -186,7 +190,8 @@ def conv(f, g, name=None):
                                         del row[colk]
                                     else:
                                         row[colk] = s
-            acc = {r: row for r, row in acc.items() if row}
+            acc = {r: {col: seen.setdefault((v.__class__, v), v) for col, v in row.items()}
+                   for r, row in acc.items() if row}
             if acc:
                 gens[(i, j)] = acc
     return MatRep(N, labels, gens, name or f"conv({f.name},{g.name})")
@@ -505,7 +510,8 @@ class Workspace:
     # -- dual separation ------------------------------------------------------
 
     def separating_reps(self, length=None):
-        """All convolution words over {L+, L-} up to the policy length."""
+        """All convolution words over {L+, L-} up to the policy length, as
+        (word length, representation) pairs, shortest first."""
         length = positive_or_default(length, self.policy.separation_length, "separation length")
         if self._separators is None or self._separators[0] < length:
             reps = [(0, self._eps)]
@@ -520,17 +526,17 @@ class Workspace:
                         reps.append((l, nrep))
                 layer = nxt
             self._separators = (length, reps)
-        return [rep for l, rep in self._separators[1] if l <= length]
+        return [(l, rep) for l, rep in self._separators[1] if l <= length]
 
     def separated_equal(self, a, b, length=None):
         """Decide a = b in O(G_q) by evaluating the separating family on
-        a - b.  False is a certain inequality; True is certified only up to
-        the returned family length."""
+        a - b.  False is a certain inequality, witnessed at the returned
+        family length; True is certified only up to that length."""
         length = positive_or_default(length, self.policy.separation_length, "separation length")
         diff = a - b
         if diff.is_zero():
             return True, 0
-        for l, rep in enumerate(self.separating_reps(length)):
+        for l, rep in self.separating_reps(length):
             total = {}
             for w, c in diff.terms.items():
                 for r, row in rep.word_matrix(w).items():
@@ -737,7 +743,7 @@ class Workspace:
                 defect = {key: c for key, c in defect.items() if not c.is_zero()}
                 if not defect:
                     continue
-                for rep in self.separating_reps(2):
+                for _, rep in self.separating_reps(2):
                     legs = {}
                     for (w1, w2), c in defect.items():
                         for r, row in rep.word_matrix(w2).items():

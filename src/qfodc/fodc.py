@@ -1,6 +1,6 @@
 """Bicovariant first-order differential calculi Gamma_zeta(v): quantum Lie
-algebras, inner differentials, central elements, direct sums and the
-classification report.
+algebras, inner differentials, central elements, direct sums, the
+classification report and the verification claims (CLAIMS).
 
 A calculus is built from a registered corepresentation v and an admissible
 twist character zeta.  Its quantum Lie algebra is spanned by the
@@ -13,6 +13,7 @@ m^2 left-invariant forms.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 
 from . import coordalg, dual, linalg
@@ -90,11 +91,11 @@ class QuantumLieAlgebra:
     def rows(self, degree):
         return list(lie_rows(self.ws, self.corep, self.zeta, degree).values())
 
-    def certify_dim(self, policy=None):
+    def certify_dim(self):
         """Stabilized rank of {X_ij}; also records rank({X_ij} + {eps})."""
         if self.certified_dim is not None:
             return self.certified_dim, self.cert_degree
-        dim, d, rows = self.ws.stabilized_rank(self.rows, policy)
+        dim, d, rows = self.ws.stabilized_rank(self.rows)
         # one more row raises the rank by at most 1
         self.rank_with_eps = linalg.rank(
             rows + [eps_word_values(d, self.ws.N)], bound=dim + 1
@@ -107,9 +108,9 @@ class QuantumLieAlgebra:
         return self.ws.coideal_check(basis, degree)
 
 
-def quantum_lie(ws, v, zeta, policy=None):
+def quantum_lie(ws, v, zeta):
     lie = QuantumLieAlgebra(ws, v, zeta)
-    lie.certify_dim(policy)
+    lie.certify_dim()
     return lie
 
 
@@ -122,12 +123,11 @@ class Calculus:
     theta_ij; the right action of the algebra is the representation
     eps_zeta (x) S(L-[v]) (x) L+[v] and d a = theta a - a theta."""
 
-    def __init__(self, ws, v, zeta, policy=None):
+    def __init__(self, ws, v, zeta):
         self.ws = ws
         self.corep = v
         self.zeta = zeta
-        self.lie = quantum_lie(ws, v, zeta, policy)
-        self.bimodule_rep = self.lie.xrep
+        self.lie = QuantumLieAlgebra(ws, v, zeta)
         self._xtab = {}
 
     def x_values(self, degree):
@@ -154,7 +154,7 @@ class Calculus:
     def right_action_on_form(self, key, b):
         """theta_key * b = sum_J b_(1) F^key_J(b_(2)) theta_J."""
         N = self.ws.N
-        rep = self.bimodule_rep
+        rep = self.lie.xrep
         out = {}
         for (b1, b2), c in coordalg.coproduct(b, N).items():
             mat = rep.word_matrix(b2)
@@ -172,10 +172,7 @@ class Calculus:
         dab = self.differential(a * b)
         da = self.differential(a)
         db = self.differential(b)
-        out = {}
-        for key in dab:
-            acc = dab[key] - a * db[key]
-            out[key] = acc
+        out = {key: dab[key] - a * db[key] for key in dab}
         for key, coeff in da.items():
             if coeff.is_zero():
                 continue
@@ -274,16 +271,15 @@ def is_central(ws, c, degree=3):
     return not any(rows)
 
 
-def quantum_lie_from_central(ws, c, policy=None, check=True):
+def quantum_lie_from_central(ws, c):
     """Basis of span{a -> c(ab) - eps(a) c(b) : b words}, by exact rank.
 
     The functionals chi_b are right translates of the central element; the
     returned list is the subset of pivot translates, MatRep-housed.
     """
-    policy = policy or ws.policy
-    if check and not is_central(ws, c, degree=3):
+    if not is_central(ws, c, degree=3):
         raise NotCentralError("functional is not central")
-    degree = policy.start_degree + 1
+    degree = ws.policy.start_degree + 1
     N = ws.N
     ctab = c.word_values(2 * degree)
     words = dual.all_words(N, degree)
@@ -306,10 +302,7 @@ def quantum_lie_from_central(ws, c, policy=None, check=True):
         if rest:
             basis += linalg.echelon([rest])
             picked.append(b)
-    out = []
-    for b in picked:
-        out.append(_right_translate(ws, c, b, ctab))
-    return out
+    return [_right_translate(ws, c, b, ctab) for b in picked]
 
 
 def _right_translate(ws, c, b, ctab):
@@ -326,6 +319,13 @@ def _right_translate(ws, c, b, ctab):
     if not cb.is_zero():
         f = f - ws.eps_functional().scaled(cb)
     return f
+
+
+def central_span(ws, v, zeta, degree):
+    """The right translates of c_zeta(v) that span its quantum Lie algebra,
+    and their word values on words of degree <= degree."""
+    gens = quantum_lie_from_central(ws, central_element(ws, v, zeta))
+    return gens, dual.word_values(gens, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,9 @@ def direct_sum_calculi(cals, degree=None):
     ws = cals[0].ws
     if any(c.ws.config != ws.config for c in cals):
         raise ValueError("calculi live over different configurations")
-    degree = dual.positive_or_default(degree, max(c.lie.cert_degree for c in cals), "degree")
+    if degree is None:
+        degree = max(c.lie.certify_dim()[1] for c in cals)
+    degree = dual.positive_or_default(degree, None, "degree")
     dims, total = linalg.span_ranks(*(c.lie.rows(degree) for c in cals))
     cert = DirectSumCertificate(dims, total, degree, total == sum(dims))
     if not cert.direct:
@@ -365,18 +367,15 @@ def tensor_identity_check(ws, v, w, degree=None):
     vw = coordalg.tensor(v, w)
     mvw = ws.mrep(vw)
     x0 = {(k, k): ONE for k in range(1, vw.dim + 1)}
-    rows_a = _state_rows(mvw, x0, vw.dim, degree)
+    rows_a = _state_rows(mvw, x0, degree)
     prod = dual.conv(ws.mrep(v), ws.mrep(w))
-    x0p = {}
-    for k in range(1, v.dim + 1):
-        for t in range(1, w.dim + 1):
-            x0p[((k, k), (t, t))] = ONE
-    rows_b = _state_rows(prod, x0p, v.dim * w.dim, degree)
+    x0p = {((k, k), (t, t)): ONE for k in range(1, v.dim + 1) for t in range(1, w.dim + 1)}
+    rows_b = _state_rows(prod, x0p, degree)
     (ra, rb), rab = linalg.span_ranks(rows_a, rows_b)
     return ra == rb == rab, degree
 
 
-def _state_rows(rep, x0, dim, degree):
+def _state_rows(rep, x0, degree):
     cols = {}
     for word, state in iter_word_states(rep, x0, degree):
         for lbl, val in state.items():
@@ -433,8 +432,7 @@ def candidate_library(ws, frame_bound=2):
     """Candidate irreducible corepresentations by Young frame, realizable
     from the registry: fundamental minors and the symmetric square."""
     n = ws.config.rank
-    out = []
-    out.append((YoungWeight(()), "1"))
+    out = [(YoungWeight(()), "1")]
     for k in range(1, n + 1):
         if ws.config.series == "C" and k > 1:
             break
@@ -446,12 +444,13 @@ def candidate_library(ws, frame_bound=2):
     return out
 
 
-def classify(ws, rows, descriptor="", policy=None, frame_bound=2, basis=None):
+def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None):
     """Greedy matching of a quantum Lie algebra span against the candidate
     component library; reports leftover rank when the library is too small.
+    Candidates and the coideal check are evaluated at degree, which should
+    be the degree of rows (default start_degree + 1).
     """
-    policy = policy or ws.policy
-    degree = policy.start_degree + 1
+    degree = dual.positive_or_default(degree, ws.policy.start_degree + 1, "degree")
     rows = [r for r in rows if r]
     coideal_ok = True
     if basis:
@@ -467,7 +466,6 @@ def classify(ws, rows, descriptor="", policy=None, frame_bound=2, basis=None):
             candidates.append((v.dim * v.dim, (zeta.order, zeta.index), frame, zeta, v))
     candidates.sort(key=lambda t: (-t[0], t[1], t[2].m))
     found = []
-    found_rows = []
     found_echelon = []
     for dim2, _, frame, zeta, v in candidates:
         cand_rows = [r for r in lie_rows(ws, v, zeta, degree).values() if r]
@@ -483,3 +481,132 @@ def classify(ws, rows, descriptor="", policy=None, frame_bound=2, basis=None):
         descriptor, found, total, residual, degree, coideal_ok=coideal_ok
     )
 
+
+# ---------------------------------------------------------------------------
+# verification claims: fn(ws, corep, zeta, degree) -> (ok, details), with corep
+# a descriptor and degree None for the claim's own default; a claim ignores
+# the arguments it has no use for
+# ---------------------------------------------------------------------------
+
+def verify_minor_tau(ws, corep, zeta, degree):
+    """l(D_k) = tau_k for the (1,1) L-entry of each fundamental minor D_k."""
+    degree = dual.positive_or_default(degree, 4, "degree")
+    ks = range(1, ws.config.rank + 1) if ws.config.series == "A" else (1,)
+    results = {}
+    ok = True
+    for k in ks:
+        v = ws.corep("u" if k == 1 else f"minor:{k}")
+        eq, deg = ws.functional_equal(
+            ws.l_entry(v, 0, 0), ws.tau_functional(YoungWeight.fundamental(k)), degree
+        )
+        results[f"k={k}"] = {"equal": eq, "cert_degree": deg}
+        ok = ok and eq
+    return ok, {"results": results, "degree": degree}
+
+
+def verify_centrality(ws, corep, zeta, degree):
+    """c_zeta(v) is central and c - c(1) eps is a nonzero element of X_zeta(v)."""
+    degree = dual.positive_or_default(degree, 3, "degree")
+    v = ws.corep(corep)
+    c = central_element(ws, v, zeta)
+    central = is_central(ws, c, degree)
+    row = (c - ws.eps_functional().scaled(c.value_at_unit())).word_values(degree)
+    lie_span = linalg.echelon(list(lie_rows(ws, v, zeta, degree).values()))
+    in_span = linalg.in_row_space(lie_span, row)
+    nonzero = bool(row)
+    return central and nonzero and in_span, {
+        "central": central,
+        "p_eps_nonzero": nonzero,
+        "in_lie_span": in_span,
+        "degree": degree,
+        "zeta": str(zeta),
+    }
+
+
+def verify_tensor_identity(ws, corep, zeta, degree):
+    """X^c(u (x) u) = X^c(u) X^c(u)."""
+    degree = dual.positive_or_default(degree, 3, "degree")
+    u = ws.corep("u")
+    ok, deg = tensor_identity_check(ws, u, u, degree)
+    return ok, {"degree": deg}
+
+
+def verify_coideal(ws, corep, zeta, degree):
+    """X_zeta(v) + C eps is a right coideal and ad_R-invariant."""
+    degree = dual.positive_or_default(degree, 3, "degree")
+    ok, deg = QuantumLieAlgebra(ws, ws.corep(corep), zeta).coideal_certificate(degree)
+    return ok, {"degree": deg, "zeta": str(zeta), "corep": corep}
+
+
+def verify_leibniz(ws, corep, zeta, degree):
+    """d(ab) = a db + da b on 20 seeded word pairs, separated at length 2."""
+    cal = Calculus(ws, ws.corep(corep), zeta)
+    rng = random.Random(0)
+    words = dual.all_words(ws.N, 2)
+    checked = 0
+    for _ in range(20):
+        a = CoordElem.from_word(rng.choice(words))
+        b = CoordElem.from_word(rng.choice(words))
+        for coeff in cal.leibniz_defect(a, b).values():
+            if not ws.separated_equal(coeff, CoordElem(), length=2)[0]:
+                return False, {"pairs": checked, "zeta": str(zeta)}
+        checked += 1
+    return True, {"pairs": checked, "zeta": str(zeta)}
+
+
+def verify_factorizability(ws, corep, zeta, degree):
+    """The q-form Gram matrix on words of degree <= degree has Peter-Weyl rank."""
+    degree = dual.positive_or_default(degree, 2, "degree")
+    words = dual.all_words(ws.N, degree)
+    gram = []
+    for wi in words:
+        a = CoordElem.from_word(wi)
+        row = {}
+        for wj in words:
+            v = ws.q_form(a, CoordElem.from_word(wj))
+            if not v.is_zero():
+                row[wj] = v
+        gram.append(row)
+    got = linalg.rank(gram)
+    want = coordalg.peter_weyl_rank(ws.config, degree)
+    return got == want, {"rank": got, "peter_weyl_oracle": want, "degree": degree}
+
+
+def verify_direct_sum(ws, corep, zeta, degree):
+    """Gamma_zeta(1) + Gamma_zeta(u) is direct and as large as X_zeta(dsum(1,u))."""
+    try:
+        cert = direct_sum_calculi([Calculus(ws, ws.corep(d), zeta) for d in ("1", "u")])
+    except NotDirectError as exc:
+        return False, {"detail": str(exc)}
+    lie_sum = quantum_lie(ws, ws.corep("dsum(1,u)"), zeta)
+    return cert.direct and lie_sum.certified_dim == cert.total, {
+        "dims": cert.dims,
+        "total": cert.total,
+        "dsum_corep_dim": lie_sum.certified_dim,
+        "zeta": str(zeta),
+    }
+
+
+def verify_central_generates(ws, corep, zeta, degree):
+    """The right translates of c_zeta(v) span X_zeta(v)."""
+    degree = dual.positive_or_default(degree, 3, "degree")
+    v = ws.corep(corep)
+    _, rows_c = central_span(ws, v, zeta, degree)
+    (ra, rb), rab = linalg.span_ranks(rows_c, list(lie_rows(ws, v, zeta, degree).values()))
+    return ra == rb == rab, {
+        "rank_central": ra, "rank_lie": rb, "rank_union": rab, "degree": degree
+    }
+
+
+# perfbench/tracer.py wraps a function by rebinding its module attribute, so
+# no value here may be a traced function: the dict would keep it unwrapped
+CLAIMS = {
+    "minor-tau": verify_minor_tau,
+    "centrality": verify_centrality,
+    "tensor-identity": verify_tensor_identity,
+    "coideal": verify_coideal,
+    "leibniz": verify_leibniz,
+    "factorizability": verify_factorizability,
+    "direct-sum": verify_direct_sum,
+    "central-generates": verify_central_generates,
+}

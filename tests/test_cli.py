@@ -195,6 +195,18 @@ def test_classify_from_central(capsys):
     assert data["components"][0]["frame"] == "[1]"
 
 
+@pytest.mark.parametrize("source", ["--corep=dsum(1,u)", "--central=u"])
+def test_classify_certifies_at_the_given_degree(source, capsys):
+    # the candidates and the coideal check are evaluated at --degree too,
+    # so the input rows leave no residual against them
+    rc, out = run(capsys, "classify", "--series", "sl", "--n", "2", source,
+                  "--zeta=-1", "--degree", "4")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["residual_rank"] == 0 and data["cert_degree"] == 4
+    assert all(c["cert_degree"] == 4 for c in data["components"])
+
+
 def test_report_bundle(capsys):
     rc, out = run(capsys, "report", "--series", "sp", "--n", "1",
                   "--corep", "u", "--zeta", "-1")
@@ -322,6 +334,25 @@ def test_rank_unstable_stays_undecided(monkeypatch, capsys):
     monkeypatch.setattr(dual.Workspace, "stabilized_rank", unstable)
     assert cli.main(["build", "--series", "sl", "--n", "2", "--corep", "u"]) == 2
     assert capsys.readouterr().err.startswith("undecided: ")
+
+
+def test_leibniz_certifies_no_rank(monkeypatch, capsys):
+    # verify leibniz reports no dimension, so it must not certify one
+    def unstable(self, rows_at, policy=None):
+        raise dual.RankUnstableError("rank certification was not expected")
+
+    monkeypatch.setattr(dual.Workspace, "stabilized_rank", unstable)
+    rc, out = run(capsys, "verify", "--series", "sl", "--n", "2",
+                  "--claim", "leibniz", "--zeta=-1")
+    assert rc == 0 and json.loads(out)["status"] == "pass"
+
+
+def test_verify_rejects_inadmissible_zeta_for_every_claim(capsys):
+    # factorizability has no use for zeta, but i is not a twist of SL_q(2)
+    assert cli.main(["verify", "--series", "sl", "--n", "2",
+                     "--claim", "factorizability", "--zeta=i"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_build_golden_bytes(capsys):

@@ -240,6 +240,12 @@ def test_conv_power_rejects_k_below_one(ws2):
             dual.conv_power(ws2.lplus, k)
 
 
+def test_conv_shares_one_object_per_distinct_value(ws3):
+    values = [v for m in dual.conv_power(ws3.lplus, 3).gens.values()
+              for row in m.values() for v in row.values()]
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+
 def test_pair_words_on_the_empty_fixed_word_is_the_counit(ws2):
     rng = random.Random(5)
     for base in (ws2.lplus, ws2.lminus):
@@ -528,6 +534,12 @@ def test_separated_equal_detects_inequality(ws2):
     ba = g(1, 2) * g(1, 1)
     assert ws2.separated_equal(ab, ba.scaled(q))[0]
     assert not ws2.separated_equal(ab, ba)[0]
+
+
+def test_separated_equal_reports_the_separating_length(ws2):
+    # the counit and L+ vanish on u^1_2; L-, the third representation of the
+    # family, separates it at convolution length 1
+    assert ws2.separated_equal(g(1, 2), CoordElem()) == (False, 1)
 
 
 def test_functional_equal_reports_degree(ws2):
