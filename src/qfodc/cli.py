@@ -68,7 +68,8 @@ def make_parser():
     common(v)
     degree_option(v)
     v.add_argument("--claim", choices=tuple(fodc.CLAIMS), required=True)
-    v.add_argument("--corep", default="u")
+    v.add_argument("--corep", default=None,
+                   help="for claims that read a corep (default u)")
 
     c = sub.add_parser("classify", help="decompose a quantum Lie algebra")
     common(c)
@@ -195,7 +196,8 @@ def cmd_report(args, ws, zeta):
 def cmd_verify(args, ws, zeta):
     payload = {"command": "verify", "claim": args.claim, "config": str(ws.config)}
     try:
-        ok, details = fodc.CLAIMS[args.claim](ws, args.corep, zeta, args.degree)
+        ok, details = fodc.run_claim(args.claim, ws, zeta,
+                                     corep=args.corep, degree=args.degree)
     except RankUnstableError as exc:
         payload["status"] = "undecided"
         payload["detail"] = str(exc)

@@ -731,8 +731,14 @@ class Workspace:
         of each separating representation m applied to the second leg leaves
         the first-leg element sum c m(w2)[r, c] w1, which must vanish under
         separated_equal.  Since the entries of m1(w1) (x) m(w2) factor, this
-        decides the same as separating both legs at once."""
+        decides the same as separating both legs at once.
+
+        separated_equal is linear, so a leg that is c times a leg already
+        separated (c != 0) has the same verdict and is skipped.  The legs
+        are grouped by support and compared within a group by
+        _proportional; the groups live for this call only."""
         zero = CoordElem()
+        separated = {}
         for i in range(cor.dim):
             for j in range(cor.dim):
                 defect = coordalg.coproduct(cor.entries[i][j], self.N)
@@ -751,10 +757,17 @@ class Workspace:
                                 leg = legs.setdefault((r, col), {})
                                 leg[w1] = leg.get(w1, ZERO) + c * v
                     for leg in legs.values():
+                        leg = {w: c for w, c in leg.items() if not c.is_zero()}
+                        if not leg:
+                            continue
+                        group = separated.setdefault(frozenset(leg), [])
+                        if any(_proportional(leg, done) for done in group):
+                            continue
                         if not self.separated_equal(CoordElem(leg), zero, 2)[0]:
                             raise coordalg.NotInvariantError(
                                 f"entry ({i},{j}) of {cor.label} fails the comatrix check"
                             )
+                        group.append(leg)
 
     def tensor_power_corep(self, k):
         if k == 0:
@@ -1019,6 +1032,17 @@ def _tensor_position_map(N, k):
     for pos, multi in enumerate(product(range(1, N + 1), repeat=k)):
         out[multi] = pos + 1
     return out
+
+
+def _proportional(a, b):
+    """True iff a = c b for some scalar c != 0, for {word: nonzero scalar}
+    maps.  Exact cross-multiplication against one fixed word w0 of the
+    shared support, a[w] b[w0] = b[w] a[w0]: no inverse is taken."""
+    if a.keys() != b.keys():
+        return False
+    w0 = next(iter(b))
+    a0, b0 = a[w0], b[w0]
+    return all((a[w] * b0 - b[w] * a0).is_zero() for w in a)
 
 
 # the projections of tensor(u,u) onto its sym/anti spectral summands

@@ -12,6 +12,7 @@ m^2 left-invariant forms.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from . import coordalg, dual, linalg
 from .coordalg import CoordElem, YoungWeight
 from .cyclotomic import Zeta, all_admissible
 from .dual import Functional, eps_word_values, iter_word_states
-from .scalar import MINUS_ONE, ONE, ZERO
+from .scalar import MINUS_ONE, ONE, ZERO, UnsupportedConfigError
 
 
 class NotCentralError(ValueError):
@@ -483,12 +484,13 @@ def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None):
 
 
 # ---------------------------------------------------------------------------
-# verification claims: fn(ws, corep, zeta, degree) -> (ok, details), with corep
-# a descriptor and degree None for the claim's own default; a claim ignores
-# the arguments it has no use for
+# verification claims: fn(ws, zeta, **options) -> (ok, details).  A claim
+# names the options it reads as keyword parameters with its own defaults
+# (corep a descriptor, "u"; degree None for the claim's default degree);
+# run_claim refuses an option the claim does not read
 # ---------------------------------------------------------------------------
 
-def verify_minor_tau(ws, corep, zeta, degree):
+def verify_minor_tau(ws, zeta, degree=None):
     """l(D_k) = tau_k for the (1,1) L-entry of each fundamental minor D_k."""
     degree = dual.positive_or_default(degree, 4, "degree")
     ks = range(1, ws.config.rank + 1) if ws.config.series == "A" else (1,)
@@ -504,7 +506,7 @@ def verify_minor_tau(ws, corep, zeta, degree):
     return ok, {"results": results, "degree": degree}
 
 
-def verify_centrality(ws, corep, zeta, degree):
+def verify_centrality(ws, zeta, corep="u", degree=None):
     """c_zeta(v) is central and c - c(1) eps is a nonzero element of X_zeta(v)."""
     degree = dual.positive_or_default(degree, 3, "degree")
     v = ws.corep(corep)
@@ -523,7 +525,7 @@ def verify_centrality(ws, corep, zeta, degree):
     }
 
 
-def verify_tensor_identity(ws, corep, zeta, degree):
+def verify_tensor_identity(ws, zeta, degree=None):
     """X^c(u (x) u) = X^c(u) X^c(u)."""
     degree = dual.positive_or_default(degree, 3, "degree")
     u = ws.corep("u")
@@ -531,14 +533,14 @@ def verify_tensor_identity(ws, corep, zeta, degree):
     return ok, {"degree": deg}
 
 
-def verify_coideal(ws, corep, zeta, degree):
+def verify_coideal(ws, zeta, corep="u", degree=None):
     """X_zeta(v) + C eps is a right coideal and ad_R-invariant."""
     degree = dual.positive_or_default(degree, 3, "degree")
     ok, deg = QuantumLieAlgebra(ws, ws.corep(corep), zeta).coideal_certificate(degree)
     return ok, {"degree": deg, "zeta": str(zeta), "corep": corep}
 
 
-def verify_leibniz(ws, corep, zeta, degree):
+def verify_leibniz(ws, zeta, corep="u"):
     """d(ab) = a db + da b on 20 seeded word pairs, separated at length 2."""
     cal = Calculus(ws, ws.corep(corep), zeta)
     rng = random.Random(0)
@@ -554,7 +556,7 @@ def verify_leibniz(ws, corep, zeta, degree):
     return True, {"pairs": checked, "zeta": str(zeta)}
 
 
-def verify_factorizability(ws, corep, zeta, degree):
+def verify_factorizability(ws, zeta, degree=None):
     """The q-form Gram matrix on words of degree <= degree has Peter-Weyl rank."""
     degree = dual.positive_or_default(degree, 2, "degree")
     words = dual.all_words(ws.N, degree)
@@ -572,7 +574,7 @@ def verify_factorizability(ws, corep, zeta, degree):
     return got == want, {"rank": got, "peter_weyl_oracle": want, "degree": degree}
 
 
-def verify_direct_sum(ws, corep, zeta, degree):
+def verify_direct_sum(ws, zeta):
     """Gamma_zeta(1) + Gamma_zeta(u) is direct and as large as X_zeta(dsum(1,u))."""
     try:
         cert = direct_sum_calculi([Calculus(ws, ws.corep(d), zeta) for d in ("1", "u")])
@@ -587,7 +589,7 @@ def verify_direct_sum(ws, corep, zeta, degree):
     }
 
 
-def verify_central_generates(ws, corep, zeta, degree):
+def verify_central_generates(ws, zeta, corep="u", degree=None):
     """The right translates of c_zeta(v) span X_zeta(v)."""
     degree = dual.positive_or_default(degree, 3, "degree")
     v = ws.corep(corep)
@@ -610,3 +612,17 @@ CLAIMS = {
     "direct-sum": verify_direct_sum,
     "central-generates": verify_central_generates,
 }
+
+
+def run_claim(name, ws, zeta, **options):
+    """Run CLAIMS[name] with the options that were given (not None).  An
+    option the claim does not read is a configuration error, not a run
+    that silently ignores it."""
+    claim = CLAIMS[name]
+    given = {k: v for k, v in options.items() if v is not None}
+    unread = sorted(set(given) - set(inspect.signature(claim).parameters))
+    if unread:
+        raise UnsupportedConfigError(
+            f"claim {name!r} does not read {', '.join(unread)}"
+        )
+    return claim(ws, zeta, **given)

@@ -355,6 +355,41 @@ def test_verify_rejects_inadmissible_zeta_for_every_claim(capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+# the options each claim reads, besides --zeta
+CLAIM_OPTIONS = {
+    "minor-tau": {"degree"},
+    "centrality": {"corep", "degree"},
+    "tensor-identity": {"degree"},
+    "coideal": {"corep", "degree"},
+    "leibniz": {"corep"},
+    "factorizability": {"degree"},
+    "direct-sum": set(),
+    "central-generates": {"corep", "degree"},
+}
+UNREAD = [(claim, option) for claim, reads in CLAIM_OPTIONS.items()
+          for option in ("corep", "degree") if option not in reads]
+
+
+def test_claim_options_cover_every_claim():
+    assert set(CLAIM_OPTIONS) == set(fodc.CLAIMS)
+
+
+@pytest.mark.parametrize("claim,option", UNREAD)
+def test_verify_rejects_an_option_the_claim_does_not_read(claim, option, capsys):
+    value = {"corep": "garbage(", "degree": "9"}[option]
+    assert cli.main(["verify", "--series", "sl", "--n", "2", "--claim", claim,
+                     "--zeta=-1", f"--{option}", value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_verify_explicit_default_corep_matches_the_default(capsys):
+    argv = ["verify", "--series", "sl", "--n", "2", "--claim", "coideal", "--zeta=-1"]
+    rc, out = run(capsys, *argv)
+    assert rc == 0 and json.loads(out)["corep"] == "u"
+    assert run(capsys, *argv, "--corep", "u") == (rc, out)
+
+
 def test_build_golden_bytes(capsys):
     # frozen report bytes: any change to report content or ordering is loud
     rc, out = run(capsys, "build", "--series", "sl", "--n", "2",

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qfodc import coordalg, dual, linalg, rmat
 from qfodc.coordalg import CoordElem, YoungWeight, coproduct, coproduct_splits
@@ -20,6 +21,7 @@ from qfodc.dual import (
     eps_zeta_rep,
 )
 from qfodc.scalar import FieldConfig, ONE, Scalar, ZERO
+from strategies import scalars
 
 g = CoordElem.generator
 
@@ -583,6 +585,55 @@ def test_ad_invariance_certificate_rejects_diagonal(ws2):
     assert ws2._right_coideal(rows, 2)
     assert not ws2._ad_invariant(basis, rows, 2)
     assert not ws2.coideal_check(basis, 2)[0]
+
+
+# -- comatrix check: one leg per proportionality class --------------------------
+
+WORDS = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda xs: tuple((x, x) for x in xs))
+LEGS = st.dictionaries(WORDS, scalars(), min_size=2, max_size=4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(leg=LEGS, c=scalars())
+def test_scaled_leg_is_proportional(leg, c):
+    assert dual._proportional({w: c * v for w, v in leg.items()}, leg)
+
+
+@settings(deadline=None, max_examples=60)
+@given(leg=LEGS, s=scalars(), data=st.data())
+def test_leg_with_one_coefficient_changed_is_not_proportional(leg, s, data):
+    # a[w] -> a[w] (1 + s) with 1 + s != 0, 1: the ratio to a is 1 on every
+    # other word of the (at least two-word) support and 1 + s on w
+    assume(not (ONE + s).is_zero())
+    w = data.draw(st.sampled_from(sorted(leg)))
+    changed = dict(leg)
+    changed[w] = leg[w] * (ONE + s)
+    assert not dual._proportional(changed, leg)
+    assert not dual._proportional(leg, changed)
+
+
+def test_legs_of_different_support_are_not_proportional():
+    a = {((1, 1),): ONE, ((2, 2),): ONE}
+    assert not dual._proportional(a, {((1, 1),): ONE, ((1, 2),): ONE})
+
+
+def test_comatrix_check_separates_one_leg_per_class(monkeypatch):
+    # SL_q(4) minor:2 has 2,772 nonzero first legs in 60 classes up to a
+    # scalar; separating one leg per class must still register the corep
+    calls = []
+    separated_equal = Workspace.separated_equal
+
+    def counted(self, a, b, length=None):
+        calls.append(a)
+        return separated_equal(self, a, b, length)
+
+    ws = Workspace(FieldConfig.sl(4))
+    ws.exterior_relations()
+    monkeypatch.setattr(Workspace, "separated_equal", counted)
+    cor = ws.corep("minor:2")
+    assert ws._coreps["minor:2"] is cor and cor.dim == 6
+    assert 0 < len(calls) <= 60
 
 
 def test_corep_rep_multiplicative(ws3):
