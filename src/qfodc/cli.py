@@ -44,14 +44,14 @@ def make_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, zeta_default="1"):
         sp.add_argument("--series", choices=("sl", "sp"), required=True)
         sp.add_argument(
             "--n", type=int, required=True,
             help="matrix size N for sl (SL_q(N)); rank n for sp (Sp_q(2n))",
         )
-        sp.add_argument("--zeta", default="1",
-                        help="1, -1, i, -i, or w[k] for zeta_N^k")
+        sp.add_argument("--zeta", default=zeta_default,
+                        help="1, -1, i, -i, or w[k] for zeta_N^k (default 1)")
         sp.add_argument("--d-max", type=positive_int, default=6)
         sp.add_argument("--format", choices=("json", "markdown"), default="json")
         sp.add_argument("--out", default=None, help="write the report to FILE")
@@ -65,7 +65,7 @@ def make_parser():
     b.add_argument("--corep", default="u")
 
     v = sub.add_parser("verify", help="run a named verification claim")
-    common(v)
+    common(v, zeta_default=None)  # None: the claim's own default, if it reads zeta
     degree_option(v)
     v.add_argument("--claim", choices=tuple(fodc.CLAIMS), required=True)
     v.add_argument("--corep", default=None,
@@ -196,7 +196,7 @@ def cmd_report(args, ws, zeta):
 def cmd_verify(args, ws, zeta):
     payload = {"command": "verify", "claim": args.claim, "config": str(ws.config)}
     try:
-        ok, details = fodc.run_claim(args.claim, ws, zeta,
+        ok, details = fodc.run_claim(args.claim, ws, zeta=zeta,
                                      corep=args.corep, degree=args.degree)
     except RankUnstableError as exc:
         payload["status"] = "undecided"
@@ -239,7 +239,7 @@ def main(argv=None):
     try:
         config = field_config(args)
         ws = Workspace(config, Policy(d_max=args.d_max))
-        zeta = parse_zeta(config, args.zeta)
+        zeta = None if args.zeta is None else parse_zeta(config, args.zeta)
         return COMMANDS[args.command](args, ws, zeta)
     except FAILURES as exc:
         sys.stderr.write(f"fail: {exc}\n")

@@ -318,34 +318,35 @@ def word_values(fs, degree):
     one {word: value} dict per functional (exact zeros omitted).
 
     One traversal per distinct (rep, row) serves every term of every
-    functional that reads that row."""
+    functional that reads that row: each functional is a combination of the
+    column rows of its (rep, row) groups."""
     groups = {}
     for k, f in enumerate(fs):
         for rep, r, c, co in f.terms:
             groups.setdefault((rep, r), {}).setdefault(k, []).append((c, co))
     out = [{} for _ in fs]
     for (rep, r), by_f in groups.items():
-        for word, state in iter_word_states(rep, {r: ONE}, degree):
-            for k, cols in by_f.items():
-                acc = None
-                for c, co in cols:
-                    v = state.get(c)
-                    if v is None:
-                        continue
-                    t = co * v
-                    acc = t if acc is None else acc + t
-                if acc is None or acc.is_zero():
-                    continue
-                total = out[k]
-                cur = total.get(word)
-                if cur is None:
-                    total[word] = acc
-                else:
-                    cur = cur + acc
-                    if cur.is_zero():
-                        del total[word]
-                    else:
-                        total[word] = cur
+        read = dict.fromkeys(c for terms in by_f.values() for c, _ in terms)
+        cols = column_values(rep, {r: ONE}, degree, read)
+        for k, terms in by_f.items():
+            for c, co in terms:
+                linalg.add_scaled(out[k], co, cols[c])
+    return out
+
+
+def column_values(rep, x0, degree, cols=None):
+    """{col: {word: (x0 rep(word))[col]}} over the words of degree <= degree,
+    exact zeros omitted: one row per column, indexed by words.  With cols,
+    exactly those columns (each present, perhaps empty); without, every
+    column that is nonzero on some word, in order of first appearance.
+    This is the one walk of the word tree; every word-indexed row is read
+    off it."""
+    out = {} if cols is None else {c: {} for c in cols}
+    for word, state in iter_word_states(rep, x0, degree):
+        for c, v in state.items():
+            row = out.setdefault(c, {}) if cols is None else out.get(c)
+            if row is not None:
+                row[word] = v
     return out
 
 
@@ -540,10 +541,8 @@ class Workspace:
             total = {}
             for w, c in diff.terms.items():
                 for r, row in rep.word_matrix(w).items():
-                    for col, v in row.items():
-                        s = total.get((r, col))
-                        total[(r, col)] = c * v if s is None else s + c * v
-            if not all(v.is_zero() for v in total.values()):
+                    linalg.add_scaled(total.setdefault(r, {}), c, row)
+            if any(total.values()):
                 return False, l
         return True, length
 
@@ -980,34 +979,23 @@ class Workspace:
         entry f and every basis functional X.  One traversal per (sign,
         X-rep, X-row) serves every f and every X."""
         span = linalg.echelon(rows)
-        xreps = {}
+        idx = range(1, self.N + 1)
+        xcols = {}
         for x in basis:
             for rep, r, c, co in x.terms:
-                xreps.setdefault(rep, set()).add(r)
+                xcols.setdefault((rep, r), {})[c] = None
         for frep in (self.lplus, self.lminus):
             tables = {}
-            for xrep, xrows in xreps.items():
-                c3 = self._ad_rep(frep, xrep)
-                for xr in xrows:
-                    x0 = {(k, (xr, k)): ONE for k in frep.labels}
-                    tables[(xrep.uid, xr)] = dict(iter_word_states(c3, x0, degree))
-            for a in range(1, self.N + 1):
-                for bcol in range(1, self.N + 1):
+            for (xrep, xr), cs in xcols.items():
+                x0 = {(k, (xr, k)): ONE for k in frep.labels}
+                read = [(a, (xc, b)) for xc in cs for a in idx for b in idx]
+                tables[(xrep, xr)] = column_values(self._ad_rep(frep, xrep), x0, degree, read)
+            for a in idx:
+                for b in idx:
                     for x in basis:
                         row = {}
                         for xrep, xr, xc, xco in x.terms:
-                            colkey = (a, (xc, bcol))
-                            for w, state in tables[(xrep.uid, xr)].items():
-                                sv = state.get(colkey)
-                                if sv is None:
-                                    continue
-                                t = xco * sv
-                                cur = row.get(w)
-                                cur = t if cur is None else cur + t
-                                if cur.is_zero():
-                                    row.pop(w, None)
-                                else:
-                                    row[w] = cur
+                            linalg.add_scaled(row, xco, tables[(xrep, xr)][(a, (xc, b))])
                         if not linalg.in_row_space(span, row):
                             return False
         return True

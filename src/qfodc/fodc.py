@@ -20,7 +20,10 @@ from dataclasses import dataclass
 from . import coordalg, dual, linalg
 from .coordalg import CoordElem, YoungWeight
 from .cyclotomic import Zeta, all_admissible
-from .dual import Functional, eps_word_values, iter_word_states
+from .dual import Functional, eps_word_values
+# iter_word_states is not used here: the benchmark's tracer self-test
+# (perfbench/tests) checks that the tracer rebinds this alias
+from .dual import iter_word_states  # noqa: F401
 from .scalar import MINUS_ONE, ONE, ZERO, UnsupportedConfigError
 
 
@@ -39,29 +42,23 @@ class NotDirectError(ValueError):
 def lie_rows(ws, v, zeta, degree):
     """Evaluation rows of all X_ij on words of degree <= degree.
 
-    One base-field traversal of mrep(v) serves every X_ij: the twist
-    character only contributes the grading factor zeta^{deg w}, and the
-    counit is subtracted on the diagonal.  Returns {(i, j): {word: value}}
-    with 0-based entry indices.
+    One base-field traversal of mrep(v) serves every X_ij: its column rows
+    are graded in place by the twist character's factor zeta^{deg w}, and
+    the counit is subtracted on the diagonal.  Returns {(i, j): {word:
+    value}} with 0-based entry indices.
     """
-    m = ws.mrep(v)
     x0 = {(k, k): ONE for k in range(1, v.dim + 1)}
-    eps_tab = eps_word_values(degree, ws.N)
+    cols = dual.column_values(ws.mrep(v), x0, degree)
     zpow = [zeta.power_value(t) for t in range(degree + 1)]
-    rows = {(i, j): {} for i in range(v.dim) for j in range(v.dim)}
-    for word, state in iter_word_states(m, x0, degree):
-        zp = zpow[len(word)]
-        for (a, b), val in state.items():
-            rows[(a - 1, b - 1)][word] = zp * val
+    eps_tab = eps_word_values(degree, ws.N)
+    rows = {}
     for i in range(v.dim):
-        row = rows[(i, i)]
-        for w, e in eps_tab.items():
-            cur = row.get(w)
-            cur = -e if cur is None else cur - e
-            if cur.is_zero():
-                row.pop(w, None)
-            else:
-                row[w] = cur
+        for j in range(v.dim):
+            row = rows[(i, j)] = cols.get((i + 1, j + 1), {})
+            for w, val in row.items():
+                row[w] = zpow[len(w)] * val
+            if i == j:
+                linalg.add_scaled(row, MINUS_ONE, eps_tab)
     return rows
 
 
@@ -273,41 +270,33 @@ def is_central(ws, c, degree=3):
 
 
 def quantum_lie_from_central(ws, c):
-    """Basis of span{a -> c(ab) - eps(a) c(b) : b words}, by exact rank.
+    """Basis of span{chi_b = c(. b) - c(b) eps : b words}, by exact rank.
 
-    The functionals chi_b are right translates of the central element; the
-    returned list is the subset of pivot translates, MatRep-housed.
+    The right translates chi_b of the central element, for b in all_words
+    order, are evaluated on the words of degree <= start_degree + 1 in one
+    batched call, and a translate is kept when its row is independent of
+    the rows kept before it.  The kept translates are returned,
+    MatRep-housed.
     """
     if not is_central(ws, c, degree=3):
         raise NotCentralError("functional is not central")
     degree = ws.policy.start_degree + 1
-    N = ws.N
-    ctab = c.word_values(2 * degree)
-    words = dual.all_words(N, degree)
+    chis = [_right_translate(ws, c, b) for b in dual.all_words(ws.N, degree)]
     basis = []
     picked = []
-    for b in words:
-        cb = ctab.get(b, ZERO)
-        row = {}
-        for a in words:
-            v = ctab.get(a + b)
-            if v is None:
-                v = ZERO
-            if all(i == j for i, j in a):
-                v = v - cb
-            if not v.is_zero():
-                row[a] = v
+    for chi, row in zip(chis, dual.word_values(chis, degree)):
         # forward reduction in insertion order decides membership: each
         # new basis row is zero at the pivots of the rows before it
         rest = linalg.reduce_row(row, basis)
         if rest:
             basis += linalg.echelon([rest])
-            picked.append(b)
-    return [_right_translate(ws, c, b, ctab) for b in picked]
+            picked.append(chi)
+    return picked
 
 
-def _right_translate(ws, c, b, ctab):
-    """chi_b = c(. b) - c(b) eps as a MatRep-housed functional."""
+def _right_translate(ws, c, b):
+    """chi_b = c(. b) - c(b) eps as a MatRep-housed functional; c(b) is the
+    value of c(. b) at the unit."""
     terms = []
     for rep, r, col, co in c.terms:
         mat = rep.word_matrix(b)
@@ -316,7 +305,7 @@ def _right_translate(ws, c, b, ctab):
             if v is not None and not v.is_zero():
                 terms.append((rep, r, s, co * v))
     f = Functional(terms, f"chi[{coordalg.word_str(b)}]")
-    cb = ctab.get(b, ZERO)
+    cb = f.value_at_unit()
     if not cb.is_zero():
         f = f - ws.eps_functional().scaled(cb)
     return f
@@ -366,22 +355,13 @@ def tensor_identity_check(ws, v, w, degree=None):
     l(w)-entries}, certified by mutual rank containment."""
     degree = dual.positive_or_default(degree, ws.policy.start_degree + 1, "degree")
     vw = coordalg.tensor(v, w)
-    mvw = ws.mrep(vw)
     x0 = {(k, k): ONE for k in range(1, vw.dim + 1)}
-    rows_a = _state_rows(mvw, x0, degree)
+    rows_a = list(dual.column_values(ws.mrep(vw), x0, degree).values())
     prod = dual.conv(ws.mrep(v), ws.mrep(w))
     x0p = {((k, k), (t, t)): ONE for k in range(1, v.dim + 1) for t in range(1, w.dim + 1)}
-    rows_b = _state_rows(prod, x0p, degree)
+    rows_b = list(dual.column_values(prod, x0p, degree).values())
     (ra, rb), rab = linalg.span_ranks(rows_a, rows_b)
     return ra == rb == rab, degree
-
-
-def _state_rows(rep, x0, degree):
-    cols = {}
-    for word, state in iter_word_states(rep, x0, degree):
-        for lbl, val in state.items():
-            cols.setdefault(lbl, {})[word] = val
-    return [row for row in cols.values() if row]
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +464,16 @@ def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None):
 
 
 # ---------------------------------------------------------------------------
-# verification claims: fn(ws, zeta, **options) -> (ok, details).  A claim
-# names the options it reads as keyword parameters with its own defaults
-# (corep a descriptor, "u"; degree None for the claim's default degree);
-# run_claim refuses an option the claim does not read
+# verification claims: fn(ws, **options) -> (ok, details).  A claim names
+# the options it reads as keyword parameters with its own defaults (zeta the
+# trivial character; corep a descriptor, "u"; degree None for the claim's
+# default degree); run_claim refuses an option the claim does not read
 # ---------------------------------------------------------------------------
 
-def verify_minor_tau(ws, zeta, degree=None):
+TRIVIAL = Zeta(1, 0)
+
+
+def verify_minor_tau(ws, degree=None):
     """l(D_k) = tau_k for the (1,1) L-entry of each fundamental minor D_k."""
     degree = dual.positive_or_default(degree, 4, "degree")
     ks = range(1, ws.config.rank + 1) if ws.config.series == "A" else (1,)
@@ -506,7 +489,7 @@ def verify_minor_tau(ws, zeta, degree=None):
     return ok, {"results": results, "degree": degree}
 
 
-def verify_centrality(ws, zeta, corep="u", degree=None):
+def verify_centrality(ws, zeta=TRIVIAL, corep="u", degree=None):
     """c_zeta(v) is central and c - c(1) eps is a nonzero element of X_zeta(v)."""
     degree = dual.positive_or_default(degree, 3, "degree")
     v = ws.corep(corep)
@@ -525,7 +508,7 @@ def verify_centrality(ws, zeta, corep="u", degree=None):
     }
 
 
-def verify_tensor_identity(ws, zeta, degree=None):
+def verify_tensor_identity(ws, degree=None):
     """X^c(u (x) u) = X^c(u) X^c(u)."""
     degree = dual.positive_or_default(degree, 3, "degree")
     u = ws.corep("u")
@@ -533,14 +516,14 @@ def verify_tensor_identity(ws, zeta, degree=None):
     return ok, {"degree": deg}
 
 
-def verify_coideal(ws, zeta, corep="u", degree=None):
+def verify_coideal(ws, zeta=TRIVIAL, corep="u", degree=None):
     """X_zeta(v) + C eps is a right coideal and ad_R-invariant."""
     degree = dual.positive_or_default(degree, 3, "degree")
     ok, deg = QuantumLieAlgebra(ws, ws.corep(corep), zeta).coideal_certificate(degree)
     return ok, {"degree": deg, "zeta": str(zeta), "corep": corep}
 
 
-def verify_leibniz(ws, zeta, corep="u"):
+def verify_leibniz(ws, zeta=TRIVIAL, corep="u"):
     """d(ab) = a db + da b on 20 seeded word pairs, separated at length 2."""
     cal = Calculus(ws, ws.corep(corep), zeta)
     rng = random.Random(0)
@@ -556,7 +539,7 @@ def verify_leibniz(ws, zeta, corep="u"):
     return True, {"pairs": checked, "zeta": str(zeta)}
 
 
-def verify_factorizability(ws, zeta, degree=None):
+def verify_factorizability(ws, degree=None):
     """The q-form Gram matrix on words of degree <= degree has Peter-Weyl rank."""
     degree = dual.positive_or_default(degree, 2, "degree")
     words = dual.all_words(ws.N, degree)
@@ -574,7 +557,7 @@ def verify_factorizability(ws, zeta, degree=None):
     return got == want, {"rank": got, "peter_weyl_oracle": want, "degree": degree}
 
 
-def verify_direct_sum(ws, zeta):
+def verify_direct_sum(ws, zeta=TRIVIAL):
     """Gamma_zeta(1) + Gamma_zeta(u) is direct and as large as X_zeta(dsum(1,u))."""
     try:
         cert = direct_sum_calculi([Calculus(ws, ws.corep(d), zeta) for d in ("1", "u")])
@@ -589,7 +572,7 @@ def verify_direct_sum(ws, zeta):
     }
 
 
-def verify_central_generates(ws, zeta, corep="u", degree=None):
+def verify_central_generates(ws, zeta=TRIVIAL, corep="u", degree=None):
     """The right translates of c_zeta(v) span X_zeta(v)."""
     degree = dual.positive_or_default(degree, 3, "degree")
     v = ws.corep(corep)
@@ -614,10 +597,10 @@ CLAIMS = {
 }
 
 
-def run_claim(name, ws, zeta, **options):
+def run_claim(name, ws, **options):
     """Run CLAIMS[name] with the options that were given (not None).  An
-    option the claim does not read is a configuration error, not a run
-    that silently ignores it."""
+    option the claim does not read, zeta included, is a configuration
+    error, not a run that silently ignores it."""
     claim = CLAIMS[name]
     given = {k: v for k, v in options.items() if v is not None}
     unread = sorted(set(given) - set(inspect.signature(claim).parameters))
@@ -625,4 +608,4 @@ def run_claim(name, ws, zeta, **options):
         raise UnsupportedConfigError(
             f"claim {name!r} does not read {', '.join(unread)}"
         )
-    return claim(ws, zeta, **given)
+    return claim(ws, **given)

@@ -19,21 +19,26 @@ def _weight(v):
     return v.complexity()
 
 
-def row_sub_scaled(row, coeff, other):
-    """row - coeff * other, dropping exact zeros."""
-    out = dict(row)
-    for c, v in other.items():
-        s = out.get(c)
+def add_scaled(acc, coeff, row):
+    """acc += coeff * row in place, dropping exact zeros."""
+    for c, v in row.items():
+        s = acc.get(c)
         t = coeff * v
         if s is None:
             if not t.is_zero():
-                out[c] = -t
-            continue
-        s = s - t
-        if s.is_zero():
-            del out[c]
+                acc[c] = t
         else:
-            out[c] = s
+            s = s + t
+            if s.is_zero():
+                del acc[c]
+            else:
+                acc[c] = s
+
+
+def row_sub_scaled(row, coeff, other):
+    """row - coeff * other, dropping exact zeros."""
+    out = dict(row)
+    add_scaled(out, -coeff, other)
     return out
 
 

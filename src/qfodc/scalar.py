@@ -301,6 +301,11 @@ class Scalar:
             return ZERO
         if self.den == {0: 1} and other.den == {0: 1}:
             return Scalar(_pmul(self.num, other.num), {0: 1}, _canonical=True)
+        # a canonical factor 1 leaves the other one canonical: no gcd
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def inverse(self):

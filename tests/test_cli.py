@@ -355,19 +355,19 @@ def test_verify_rejects_inadmissible_zeta_for_every_claim(capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-# the options each claim reads, besides --zeta
+# the options each claim reads
 CLAIM_OPTIONS = {
     "minor-tau": {"degree"},
-    "centrality": {"corep", "degree"},
+    "centrality": {"zeta", "corep", "degree"},
     "tensor-identity": {"degree"},
-    "coideal": {"corep", "degree"},
-    "leibniz": {"corep"},
+    "coideal": {"zeta", "corep", "degree"},
+    "leibniz": {"zeta", "corep"},
     "factorizability": {"degree"},
-    "direct-sum": set(),
-    "central-generates": {"corep", "degree"},
+    "direct-sum": {"zeta"},
+    "central-generates": {"zeta", "corep", "degree"},
 }
 UNREAD = [(claim, option) for claim, reads in CLAIM_OPTIONS.items()
-          for option in ("corep", "degree") if option not in reads]
+          for option in ("corep", "degree", "zeta") if option not in reads]
 
 
 def test_claim_options_cover_every_claim():
@@ -376,9 +376,12 @@ def test_claim_options_cover_every_claim():
 
 @pytest.mark.parametrize("claim,option", UNREAD)
 def test_verify_rejects_an_option_the_claim_does_not_read(claim, option, capsys):
-    value = {"corep": "garbage(", "degree": "9"}[option]
+    value = {"corep": "garbage(", "degree": "9", "zeta": "-1"}[option]
+    # an admissible twist for the claims that read one, so that only the
+    # unread option can be refused
+    twist = ["--zeta=-1"] if "zeta" in CLAIM_OPTIONS[claim] and option != "zeta" else []
     assert cli.main(["verify", "--series", "sl", "--n", "2", "--claim", claim,
-                     "--zeta=-1", f"--{option}", value]) == 3
+                     *twist, f"--{option}={value}"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
 
@@ -388,6 +391,13 @@ def test_verify_explicit_default_corep_matches_the_default(capsys):
     rc, out = run(capsys, *argv)
     assert rc == 0 and json.loads(out)["corep"] == "u"
     assert run(capsys, *argv, "--corep", "u") == (rc, out)
+
+
+def test_verify_default_zeta_is_the_trivial_character(capsys):
+    argv = ["verify", "--series", "sl", "--n", "2", "--claim", "coideal"]
+    rc, out = run(capsys, *argv)
+    assert rc == 0 and json.loads(out)["zeta"] == "1"
+    assert run(capsys, *argv, "--zeta=1") == (rc, out)
 
 
 def test_build_golden_bytes(capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -21,7 +22,7 @@ from qfodc.dual import (
     eps_zeta_rep,
 )
 from qfodc.scalar import FieldConfig, ONE, Scalar, ZERO
-from strategies import scalars
+from strategies import cyc_elems, scalars
 
 g = CoordElem.generator
 
@@ -503,6 +504,75 @@ def test_word_traversal_stops_below_degree_zero(ws2):
     m = ws2.mrep(ws2.corep("u"))
     x0 = {(1, 1): ONE}
     assert list(dual.iter_word_states(m, x0, -1)) == [((), x0)]
+
+
+# -- the word-evaluation kernel against single entries, word by word ----------
+
+@functools.cache
+def _rep_pool(n):
+    """L+, L-, one conv and one mrep of SL_q(n)."""
+    ws = Workspace(FieldConfig.sl(n))
+    return [ws.lplus, ws.lminus, conv(ws.lplus, ws.lminus), ws.mrep(ws.corep("u"))]
+
+
+# a CycElem coefficient, so that values leave Q(p)
+CYC_COEFFS = cyc_elems(3).filter(lambda c: not c.is_zero())
+
+
+def _entries_by_word(terms, n, degree):
+    """{word: sum co * rep(word)[r, c]} over all_words, exact zeros omitted,
+    from MatRep.entry_on_word one word at a time."""
+    out = {}
+    for w in all_words(n, degree):
+        total = ZERO
+        for rep, r, c, co in terms:
+            total = co * rep.entry_on_word(r, c, w) + total
+        if not total.is_zero():
+            out[w] = total
+    return out
+
+
+def _same_rows(got, want):
+    return got.keys() == want.keys() and all((got[k] - want[k]).is_zero() for k in want)
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_column_values_match_entries_word_by_word(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    rep = data.draw(st.sampled_from(_rep_pool(n)))
+    degree = data.draw(st.integers(0, 3))
+    starts = data.draw(st.lists(st.sampled_from(rep.labels), min_size=1, max_size=2, unique=True))
+    x0 = {r: data.draw(scalars()) for r in starts}
+    x0[starts[0]] = data.draw(CYC_COEFFS)
+    cols = data.draw(st.none() | st.lists(st.sampled_from(rep.labels), max_size=3, unique=True))
+    got = dual.column_values(rep, x0, degree, cols)
+    want = {}
+    for col in rep.labels if cols is None else cols:
+        row = _entries_by_word([(rep, r, col, co) for r, co in x0.items()], n, degree)
+        if row or cols is not None:
+            want[col] = row
+    assert got.keys() == want.keys()
+    assert all(_same_rows(got[col], want[col]) for col in want)
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_word_values_match_entries_word_by_word(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    pool = _rep_pool(n)
+    degree = data.draw(st.integers(0, 3))
+
+    def entry():
+        rep = data.draw(st.sampled_from(pool))
+        return rep, data.draw(st.sampled_from(rep.labels)), data.draw(st.sampled_from(rep.labels))
+
+    fs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        terms = [(*entry(), data.draw(scalars())) for _ in range(data.draw(st.integers(0, 2)))]
+        fs.append(Functional(terms + [(*entry(), data.draw(CYC_COEFFS))]))
+    for f, got in zip(fs, dual.word_values(fs, degree)):
+        assert _same_rows(got, _entries_by_word(f.terms, n, degree))
 
 
 def test_export_eval_matrix(ws2):

@@ -253,6 +253,49 @@ def test_central_generation_matches_lie(ws2):
     assert linalg.rank(rows_c) == linalg.rank(rows_x) == linalg.rank(rows_c + rows_x)
 
 
+def _translates_by_products(ws, c):
+    """Reference for quantum_lie_from_central: the rows a -> c(ab) - eps(a) c(b)
+    over |a|, |b| <= start_degree + 1, read off c's values up to twice that
+    degree and reduced greedily in all_words order.  Returns the picked
+    words b and their rows."""
+    degree = ws.policy.start_degree + 1
+    ctab = c.word_values(2 * degree)
+    words = all_words(ws.N, degree)
+    basis, picked, rows = [], [], []
+    for b in words:
+        cb = ctab.get(b, ZERO)
+        row = {}
+        for a in words:
+            v = ctab.get(a + b, ZERO)
+            if all(i == j for i, j in a):
+                v = v - cb
+            if not v.is_zero():
+                row[a] = v
+        rest = linalg.reduce_row(row, basis)
+        if rest:
+            basis += linalg.echelon([rest])
+            picked.append(b)
+            rows.append(row)
+    return picked, rows
+
+
+@pytest.mark.parametrize("wsname, zeta", [
+    ("ws2", Zeta(2, 1)),
+    ("ws3", Zeta(1, 0)),
+], ids=["sl2-zeta=-1", "sl3-zeta=1"])
+def test_central_translates_match_the_product_construction(wsname, zeta, request):
+    # translates evaluated at degree 3 pick the same words, with the same
+    # rows, as c(ab) - eps(a) c(b) read from c's values at degree 6
+    ws = request.getfixturevalue(wsname)
+    c = fodc.central_element(ws, ws.corep("u"), zeta)
+    words, rows = _translates_by_products(ws, c)
+    gens = fodc.quantum_lie_from_central(ws, c)
+    # a translate with c(b) != 0 is labelled chi[b]+eps
+    labels = [f.label.removesuffix("+eps") for f in gens]
+    assert labels == [f"chi[{coordalg.word_str(b)}]" for b in words]
+    assert dual.word_values(gens, ws.policy.start_degree + 1) == rows
+
+
 def test_central_counit_generates_nothing(ws2):
     gens = fodc.quantum_lie_from_central(ws2, ws2.eps_functional())
     assert gens == []

@@ -117,6 +117,23 @@ def test_parse_print_roundtrip_property(a):
     assert parse_scalar(str(a)) == a
 
 
+@given(scalars())
+def test_one_is_a_neutral_factor(s):
+    assert ONE * s == s * ONE == s
+
+
+def test_one_times_a_fraction_takes_no_gcd(monkeypatch):
+    from qfodc import scalar
+
+    f = Scalar({0: 1}, {0: 1, 1: 1})
+
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd taken")
+
+    monkeypatch.setattr(scalar, "_poly_gcd", no_gcd)
+    assert ONE * f == f * ONE == f
+
+
 def test_pow():
     q = FieldConfig.sl(2).q
     assert q ** 3 == P(6)
