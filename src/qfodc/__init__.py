@@ -3,7 +3,7 @@ calculi on the quantum groups SL_q(N) and Sp_q(2n)."""
 
 from .coordalg import CoordElem, Corep, YoungWeight, weyl_dim
 from .cyclotomic import Zeta, admissible_zeta, all_admissible
-from .dual import Functional, Policy, Workspace
+from .dual import Functional, Workspace
 from .fodc import Calculus, QuantumLieAlgebra, central_element, classify, quantum_lie
 from .rmat import build_r
 from .scalar import FieldConfig, ONE, Scalar, ZERO, parse_scalar
@@ -15,7 +15,6 @@ __all__ = [
     "FieldConfig",
     "Functional",
     "ONE",
-    "Policy",
     "QuantumLieAlgebra",
     "Scalar",
     "Workspace",

@@ -15,7 +15,7 @@ import sys
 from . import dual, fodc, rmat
 from .coordalg import NotInvariantError
 from .cyclotomic import InvalidCharacterError, admissible_zeta
-from .dual import Policy, RankUnstableError, Workspace
+from .dual import CHECK_DEGREE, D_MAX, RankUnstableError, Workspace
 from .scalar import FieldConfig, UnsupportedConfigError
 
 # mathematical failures: the input was well formed, but a certificate failed
@@ -52,7 +52,7 @@ def make_parser():
         )
         sp.add_argument("--zeta", default=zeta_default,
                         help="1, -1, i, -i, or w[k] for zeta_N^k (default 1)")
-        sp.add_argument("--d-max", type=positive_int, default=6)
+        sp.add_argument("--d-max", type=positive_int, default=D_MAX)
         sp.add_argument("--format", choices=("json", "markdown"), default="json")
         sp.add_argument("--out", default=None, help="write the report to FILE")
 
@@ -74,10 +74,11 @@ def make_parser():
     c = sub.add_parser("classify", help="decompose a quantum Lie algebra")
     common(c)
     degree_option(c)
-    c.add_argument("--corep", default=None, help="classify X_zeta(corep)")
-    c.add_argument("--central", default=None,
-                   help="classify the span generated by the central element "
-                        "c_zeta(corep descriptor)")
+    target = c.add_mutually_exclusive_group()
+    target.add_argument("--corep", default=None, help="classify X_zeta(corep)")
+    target.add_argument("--central", default=None,
+                        help="classify the span generated by the central element "
+                             "c_zeta(corep descriptor)")
     c.add_argument("--frame-bound", type=int, default=2)
 
     r = sub.add_parser("report", help="build plus the standard verification bundle")
@@ -125,8 +126,11 @@ def emit(args, payload, status):
             lines.append(f"- **{k}**: {v}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UnsupportedConfigError(f"cannot write the report: {exc}") from exc
     else:
         sys.stdout.write(text)
     return status
@@ -155,7 +159,7 @@ def cmd_build(args, ws, zeta):
 
 
 def cmd_classify(args, ws, zeta):
-    degree = args.degree or ws.policy.start_degree + 1
+    degree = args.degree or CHECK_DEGREE
     if args.central:
         v = ws.corep(args.central)
         basis, rows = fodc.central_span(ws, v, zeta, degree)
@@ -238,7 +242,7 @@ def main(argv=None):
         return 3 if exc.code not in (0, None) else 0
     try:
         config = field_config(args)
-        ws = Workspace(config, Policy(d_max=args.d_max))
+        ws = Workspace(config, args.d_max)
         zeta = None if args.zeta is None else parse_zeta(config, args.zeta)
         return COMMANDS[args.command](args, ws, zeta)
     except FAILURES as exc:

@@ -18,7 +18,6 @@ per-session instance behind every operation in this module and in fodc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 
@@ -39,25 +38,17 @@ class UnsupportedFunctionalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Policy:
-    """Degree-escalation policy for ranks and separation certificates."""
-
-    start_degree: int = 2
-    stability_window: int = 2
-    d_max: int = 6
-    separation_length: int = 3
-
-    def __post_init__(self):
-        for name in ("start_degree", "stability_window", "d_max", "separation_length"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"policy {name} must be at least 1")
-        last = self.start_degree + self.stability_window - 1
-        if self.d_max < last:
-            raise ValueError(
-                f"policy d_max {self.d_max} is below start_degree + stability_window"
-                f" - 1 = {last}, so no rank could ever stabilize"
-            )
+# The degree-escalation policy.  A rank is computed at START_DEGREE,
+# START_DEGREE + 1, ... and certified at the first degree where the last
+# STABILITY_WINDOW ranks agree; it is given up above Workspace's d_max
+# (default D_MAX), the one degree setting.  SEPARATION_LENGTH is the default
+# length of the separating family, and CHECK_DEGREE the default degree of
+# every certificate that does not escalate.
+START_DEGREE = 2
+STABILITY_WINDOW = 2
+D_MAX = 6
+SEPARATION_LENGTH = 3
+CHECK_DEGREE = START_DEGREE + 1
 
 
 def positive_or_default(value, default, name):
@@ -397,10 +388,16 @@ class Workspace:
     """One quantum group: R-matrix, oracle-pinned antipode, corepresentation
     registry, L-functional representations and all evaluation caches."""
 
-    def __init__(self, config, policy=None):
+    def __init__(self, config, d_max=D_MAX):
+        last = START_DEGREE + STABILITY_WINDOW - 1
+        if d_max < last:
+            raise ValueError(
+                f"d_max {d_max} is below the last degree {last} of the first"
+                " stability window, so no rank could ever stabilize"
+            )
         self.config = config
         self.N = config.N
-        self.policy = policy or Policy()
+        self.d_max = d_max
         self.rdata = rmat.build_r(config)
         self.lplus = lplus(config, self.rdata)
         self.lminus = lminus(config, self.rdata)
@@ -511,9 +508,10 @@ class Workspace:
     # -- dual separation ------------------------------------------------------
 
     def separating_reps(self, length=None):
-        """All convolution words over {L+, L-} up to the policy length, as
-        (word length, representation) pairs, shortest first."""
-        length = positive_or_default(length, self.policy.separation_length, "separation length")
+        """All convolution words over {L+, L-} up to length (default
+        SEPARATION_LENGTH), as (word length, representation) pairs,
+        shortest first."""
+        length = positive_or_default(length, SEPARATION_LENGTH, "separation length")
         if self._separators is None or self._separators[0] < length:
             reps = [(0, self._eps)]
             layer = [((), None)]
@@ -533,7 +531,7 @@ class Workspace:
         """Decide a = b in O(G_q) by evaluating the separating family on
         a - b.  False is a certain inequality, witnessed at the returned
         family length; True is certified only up to that length."""
-        length = positive_or_default(length, self.policy.separation_length, "separation length")
+        length = positive_or_default(length, SEPARATION_LENGTH, "separation length")
         diff = a - b
         if diff.is_zero():
             return True, 0
@@ -915,34 +913,28 @@ class Workspace:
 
     # -- evaluation matrices, ranks, equality --------------------------------------
 
-    def stabilized_rank(self, rows_at, policy=None):
-        """Escalate the evaluation degree until the rank of rows_at(degree)
-        is constant over the stability window; returns (rank,
-        certified_degree, rows at that degree)."""
-        policy = policy or self.policy
+    def stabilized_rank(self, rows_at):
+        """Escalate the evaluation degree from START_DEGREE until the rank of
+        rows_at(degree) is constant over STABILITY_WINDOW degrees, up to
+        d_max; returns (rank, certified_degree, rows at that degree)."""
         ranks = []
-        d = policy.start_degree
-        while d <= policy.d_max:
+        for d in range(START_DEGREE, self.d_max + 1):
             rows = rows_at(d)
             ranks.append(linalg.rank(rows))
-            if len(ranks) >= policy.stability_window and len(
-                set(ranks[-policy.stability_window:])
-            ) == 1:
+            if len(ranks) >= STABILITY_WINDOW and len(set(ranks[-STABILITY_WINDOW:])) == 1:
                 return ranks[-1], d, rows
-            d += 1
         raise RankUnstableError(
-            f"rank did not stabilize up to degree {policy.d_max}: {ranks}"
+            f"rank did not stabilize up to degree {self.d_max}: {ranks}"
         )
 
-    def functional_equal(self, f, g, degree=None):
-        """Equality of functionals on all words up to the certification
-        degree.  False is definitive; True certifies up to the degree."""
-        degree = positive_or_default(degree, self.policy.d_max, "degree")
-        vf = f.word_values(degree)
-        vg = g.word_values(degree)
-        for w in set(vf) | set(vg):
-            if not (vf.get(w, ZERO) - vg.get(w, ZERO)).is_zero():
-                return False, len(w)
+    def functional_equal(self, f, g, degree):
+        """Equality of functionals on all words up to degree, read off one
+        evaluation of f - g.  False is definitive and comes with the least
+        degree of a word where they differ; True certifies up to degree."""
+        degree = positive_or_default(degree, None, "degree")
+        diff = (f - g).word_values(degree)
+        if diff:
+            return False, min(len(w) for w in diff)
         return True, degree
 
     def coideal_check(self, basis, degree=None):
@@ -950,7 +942,7 @@ class Workspace:
         degree <= degree: the conjunction of _right_coideal (right translates
         stay in the span) and _ad_invariant (ad_R by every l+/l- generator
         entry maps the basis into the span).  Returns (ok, degree)."""
-        degree = positive_or_default(degree, self.policy.start_degree + 1, "degree")
+        degree = positive_or_default(degree, CHECK_DEGREE, "degree")
         rows = word_values(basis, degree) + [eps_word_values(degree, self.N)]
         ok = self._right_coideal(rows, degree) and self._ad_invariant(basis, rows, degree)
         return ok, degree

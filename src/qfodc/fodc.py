@@ -260,7 +260,7 @@ def convolution_values(ws, combos, degree):
     return dual.word_values(fs, degree)
 
 
-def is_central(ws, c, degree=3):
+def is_central(ws, c, degree=dual.CHECK_DEGREE):
     """c commutes with every l+- generator entry on words up to degree: the
     2N^2 commutators c * f - f * c all vanish."""
     idx = range(1, ws.N + 1)
@@ -273,14 +273,14 @@ def quantum_lie_from_central(ws, c):
     """Basis of span{chi_b = c(. b) - c(b) eps : b words}, by exact rank.
 
     The right translates chi_b of the central element, for b in all_words
-    order, are evaluated on the words of degree <= start_degree + 1 in one
+    order, are evaluated on the words of degree <= CHECK_DEGREE in one
     batched call, and a translate is kept when its row is independent of
     the rows kept before it.  The kept translates are returned,
     MatRep-housed.
     """
-    if not is_central(ws, c, degree=3):
+    degree = dual.CHECK_DEGREE
+    if not is_central(ws, c, degree):
         raise NotCentralError("functional is not central")
-    degree = ws.policy.start_degree + 1
     chis = [_right_translate(ws, c, b) for b in dual.all_words(ws.N, degree)]
     basis = []
     picked = []
@@ -353,7 +353,7 @@ def direct_sum_calculi(cals, degree=None):
 def tensor_identity_check(ws, v, w, degree=None):
     """Span equality of {l((v (x) w)-entries)} and {l(v)-entries times
     l(w)-entries}, certified by mutual rank containment."""
-    degree = dual.positive_or_default(degree, ws.policy.start_degree + 1, "degree")
+    degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     vw = coordalg.tensor(v, w)
     x0 = {(k, k): ONE for k in range(1, vw.dim + 1)}
     rows_a = list(dual.column_values(ws.mrep(vw), x0, degree).values())
@@ -429,9 +429,9 @@ def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None):
     """Greedy matching of a quantum Lie algebra span against the candidate
     component library; reports leftover rank when the library is too small.
     Candidates and the coideal check are evaluated at degree, which should
-    be the degree of rows (default start_degree + 1).
+    be the degree of rows (default CHECK_DEGREE).
     """
-    degree = dual.positive_or_default(degree, ws.policy.start_degree + 1, "degree")
+    degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     rows = [r for r in rows if r]
     coideal_ok = True
     if basis:
@@ -491,7 +491,7 @@ def verify_minor_tau(ws, degree=None):
 
 def verify_centrality(ws, zeta=TRIVIAL, corep="u", degree=None):
     """c_zeta(v) is central and c - c(1) eps is a nonzero element of X_zeta(v)."""
-    degree = dual.positive_or_default(degree, 3, "degree")
+    degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     v = ws.corep(corep)
     c = central_element(ws, v, zeta)
     central = is_central(ws, c, degree)
@@ -510,7 +510,7 @@ def verify_centrality(ws, zeta=TRIVIAL, corep="u", degree=None):
 
 def verify_tensor_identity(ws, degree=None):
     """X^c(u (x) u) = X^c(u) X^c(u)."""
-    degree = dual.positive_or_default(degree, 3, "degree")
+    degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     u = ws.corep("u")
     ok, deg = tensor_identity_check(ws, u, u, degree)
     return ok, {"degree": deg}
@@ -518,7 +518,7 @@ def verify_tensor_identity(ws, degree=None):
 
 def verify_coideal(ws, zeta=TRIVIAL, corep="u", degree=None):
     """X_zeta(v) + C eps is a right coideal and ad_R-invariant."""
-    degree = dual.positive_or_default(degree, 3, "degree")
+    degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     ok, deg = QuantumLieAlgebra(ws, ws.corep(corep), zeta).coideal_certificate(degree)
     return ok, {"degree": deg, "zeta": str(zeta), "corep": corep}
 
@@ -542,16 +542,11 @@ def verify_leibniz(ws, zeta=TRIVIAL, corep="u"):
 def verify_factorizability(ws, degree=None):
     """The q-form Gram matrix on words of degree <= degree has Peter-Weyl rank."""
     degree = dual.positive_or_default(degree, 2, "degree")
-    words = dual.all_words(ws.N, degree)
-    gram = []
-    for wi in words:
-        a = CoordElem.from_word(wi)
-        row = {}
-        for wj in words:
-            v = ws.q_form(a, CoordElem.from_word(wj))
-            if not v.is_zero():
-                row[wj] = v
-        gram.append(row)
+    # row b holds q(a (x) b) = l(b)(a) over the words a: the transpose of
+    # the Gram matrix, read through the one word kernel
+    gram = dual.word_values(
+        [ws.l_of(CoordElem.from_word(b)) for b in dual.all_words(ws.N, degree)], degree
+    )
     got = linalg.rank(gram)
     want = coordalg.peter_weyl_rank(ws.config, degree)
     return got == want, {"rank": got, "peter_weyl_oracle": want, "degree": degree}
@@ -574,7 +569,7 @@ def verify_direct_sum(ws, zeta=TRIVIAL):
 
 def verify_central_generates(ws, zeta=TRIVIAL, corep="u", degree=None):
     """The right translates of c_zeta(v) span X_zeta(v)."""
-    degree = dual.positive_or_default(degree, 3, "degree")
+    degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     v = ws.corep(corep)
     _, rows_c = central_span(ws, v, zeta, degree)
     (ra, rb), rab = linalg.span_ranks(rows_c, list(lie_rows(ws, v, zeta, degree).values()))

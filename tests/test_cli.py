@@ -240,6 +240,23 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["dim"] == 4
 
 
+def test_unwritable_out_file_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    rc = cli.main(["build", "--series", "sl", "--n", "2", "--corep", "u",
+                   "--out", str(target)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_classify_rejects_corep_with_central(capsys):
+    # one span to classify: X_zeta(corep) or the central element's span
+    rc = cli.main(["classify", "--series", "sl", "--n", "2", "--corep", "u",
+                   "--central", "u"])
+    assert rc == 3
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_peter_weyl_oracle_values():
     # classical Clebsch-Gordan bookkeeping behind the factorizability rank
     assert coordalg.peter_weyl_rank(FieldConfig.sl(2), 0) == 1
@@ -328,7 +345,7 @@ def test_mathematical_failure_exits_1(breaks, argv, reason, monkeypatch, capsys)
 
 def test_rank_unstable_stays_undecided(monkeypatch, capsys):
     # also an ArithmeticError, but undecided (2), not a failure (1)
-    def unstable(self, rows_at, policy=None):
+    def unstable(self, rows_at):
         raise dual.RankUnstableError("rank did not stabilize up to degree 6: [3, 4]")
 
     monkeypatch.setattr(dual.Workspace, "stabilized_rank", unstable)
@@ -338,7 +355,7 @@ def test_rank_unstable_stays_undecided(monkeypatch, capsys):
 
 def test_leibniz_certifies_no_rank(monkeypatch, capsys):
     # verify leibniz reports no dimension, so it must not certify one
-    def unstable(self, rows_at, policy=None):
+    def unstable(self, rows_at):
         raise dual.RankUnstableError("rank certification was not expected")
 
     monkeypatch.setattr(dual.Workspace, "stabilized_rank", unstable)

@@ -12,7 +12,6 @@ from qfodc.cyclotomic import Zeta, all_admissible
 from qfodc.dual import (
     AntipodeFailureError,
     Functional,
-    Policy,
     RankUnstableError,
     UnsupportedFunctionalError,
     Workspace,
@@ -346,11 +345,15 @@ def test_l_of_unit_is_counit(ws2):
 
 
 def test_l_of_matches_q_form(ws2):
-    rng = random.Random(43)
-    for _ in range(8):
-        a = CoordElem.from_word(rand_word(rng, 2, 2))
-        x = CoordElem.from_word(rand_word(rng, 2, 2))
-        assert ws2.l_of(a).evaluate(x) == ws2.q_form(x, a)
+    # q(x (x) a) = l(a)(x) on every word pair of degree <= 2, entry by
+    # entry: the rows verify_factorizability reads, against the q-form
+    for ws in (ws2, Workspace(FieldConfig.sp(1))):
+        words = all_words(ws.N, 2)
+        rows = dual.word_values([ws.l_of(CoordElem.from_word(a)) for a in words], 2)
+        for a, row in zip(words, rows):
+            for x in words:
+                want = ws.q_form(CoordElem.from_word(x), CoordElem.from_word(a))
+                assert row.get(x, ZERO) == want, (x, a)
 
 
 def test_l_of_generator_matches_l_entry(ws2):
@@ -485,19 +488,17 @@ def test_trivial_corep_rank_one(ws2):
 def test_stabilized_rank_unstable_raises(ws2):
     # rank d at degree d never repeats within the window
     with pytest.raises(RankUnstableError):
-        ws2.stabilized_rank(lambda d: [{(i,): ONE} for i in range(d)],
-                            Policy(start_degree=2, stability_window=2, d_max=3))
+        Workspace(FieldConfig.sl(2), d_max=3).stabilized_rank(
+            lambda d: [{(i,): ONE} for i in range(d)])
 
 
 def test_policy_rejects_out_of_range():
-    for kw in ({"start_degree": 0}, {"stability_window": 0},
-               {"separation_length": 0}, {"d_max": 1},
-               {"start_degree": 2, "stability_window": 5, "d_max": 5},
-               {"stability_window": 3, "d_max": 3}):
+    for d_max in (0, 1, 2):
         with pytest.raises(ValueError):
-            Policy(**kw)
+            Workspace(FieldConfig.sl(2), d_max=d_max)
     # the smallest d_max that leaves room for a full stability window
-    assert Policy(start_degree=2, stability_window=3, d_max=4).d_max == 4
+    last = dual.START_DEGREE + dual.STABILITY_WINDOW - 1
+    assert Workspace(FieldConfig.sl(2), d_max=last).d_max == last
 
 
 def test_word_traversal_stops_below_degree_zero(ws2):
@@ -621,6 +622,13 @@ def test_functional_equal_reports_degree(ws2):
     h = ws2.lminus_entry(1, 1)
     eq2, _ = ws2.functional_equal(f, h, degree=2)
     assert not eq2
+
+
+def test_functional_equal_reports_the_least_differing_degree(ws3):
+    # l(u)^1_1 and 2 tau(-2 omega_1) already differ on the empty word
+    f = ws3.l_entry(ws3.corep("u"), 0, 0)
+    tau = ws3.tau_functional(YoungWeight.fundamental(1)).scaled(Scalar.from_int(2))
+    assert ws3.functional_equal(f, tau, degree=4) == (False, 0)
 
 
 # -- coideal ----------------------------------------------------------------

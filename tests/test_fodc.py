@@ -5,7 +5,7 @@ import pytest
 from qfodc import coordalg, dual, fodc, linalg
 from qfodc.coordalg import CoordElem, YoungWeight, coproduct_splits
 from qfodc.cyclotomic import Zeta
-from qfodc.dual import Functional, Policy, Workspace, all_words
+from qfodc.dual import Functional, Workspace, all_words
 from qfodc.scalar import FieldConfig, ONE, ZERO
 
 g = CoordElem.generator
@@ -65,7 +65,7 @@ def test_rank_deficient_set_eliminates_once_per_degree(ws2, monkeypatch):
     lie = fodc.quantum_lie(ws2, ws2.corep("dsum(1,u)"), Zeta(1, 0))
     assert (lie.certified_dim, lie.rank_with_eps) == (4, 5)
     # one elimination per degree of the window, none for rank_with_eps
-    assert calls == [9] * (lie.cert_degree - ws2.policy.start_degree + 1)
+    assert calls == [9] * (lie.cert_degree - dual.START_DEGREE + 1)
 
 
 def test_x_vanishes_at_unit(ws2):
@@ -255,10 +255,10 @@ def test_central_generation_matches_lie(ws2):
 
 def _translates_by_products(ws, c):
     """Reference for quantum_lie_from_central: the rows a -> c(ab) - eps(a) c(b)
-    over |a|, |b| <= start_degree + 1, read off c's values up to twice that
+    over |a|, |b| <= CHECK_DEGREE, read off c's values up to twice that
     degree and reduced greedily in all_words order.  Returns the picked
     words b and their rows."""
-    degree = ws.policy.start_degree + 1
+    degree = dual.CHECK_DEGREE
     ctab = c.word_values(2 * degree)
     words = all_words(ws.N, degree)
     basis, picked, rows = [], [], []
@@ -293,7 +293,7 @@ def test_central_translates_match_the_product_construction(wsname, zeta, request
     # a translate with c(b) != 0 is labelled chi[b]+eps
     labels = [f.label.removesuffix("+eps") for f in gens]
     assert labels == [f"chi[{coordalg.word_str(b)}]" for b in words]
-    assert dual.word_values(gens, ws.policy.start_degree + 1) == rows
+    assert dual.word_values(gens, dual.CHECK_DEGREE) == rows
 
 
 def test_central_counit_generates_nothing(ws2):
