@@ -9,7 +9,9 @@ invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from . import dual, fodc, rmat
@@ -136,6 +138,16 @@ def emit(args, payload, status):
     return status
 
 
+def check_out(path):
+    """Refuse a report path whose directory is missing or that is a
+    directory, before any work runs; the file is neither created nor
+    truncated.  emit still reports any other write failure."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        exc = OSError(code, os.strerror(code), path)
+        raise UnsupportedConfigError(f"cannot write the report: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -241,6 +253,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            check_out(args.out)
         config = field_config(args)
         ws = Workspace(config, args.d_max)
         zeta = None if args.zeta is None else parse_zeta(config, args.zeta)

@@ -369,26 +369,27 @@ def projected_corep(parent, pmat, labels, label, frame=None, irreducible=None):
     if not linalg.mat_eq(linalg.mat_mul(pmat, pmat), pmat):
         raise NotInvariantError("projector is not idempotent")
     index = {l: t for t, l in enumerate(labels)}
-    # image basis from the column echelon of P; reduced pivots make the
-    # coordinate extraction of x in im(P) a plain component read-off
+    # image basis from the column echelon of P, back-substituted so that each
+    # row is zero at every other pivot: the coordinates of x in im(P) are then
+    # a plain component read-off at the pivots
     cols = {}
     for rl, row in pmat.items():
         for cl, v in row.items():
             cols.setdefault(cl, {})[rl] = v
     basis = linalg.echelon([cols[c] for c in sorted(cols)])
-    bvecs = [row for _, row in basis]
-    pivots = [pc for pc, _ in basis]
-    r = len(bvecs)
+    for i in reversed(range(len(basis))):
+        pc, row = basis[i]
+        basis[i] = (pc, linalg.reduce_row(row, basis[i + 1:]))
     # compressed entry (a, b) = sum_t parent^{pivot_a}_t * B[t][b]; this is
     # one representative of the coacted image coordinate, valid because the
     # image is coinvariant modulo the defining ideal (Workspace._check_comatrix)
     entries = []
-    for a in range(r):
-        s = index[pivots[a]]
+    for pivot, _ in basis:
+        s = index[pivot]
         row = []
-        for b in range(r):
+        for _, bvec in basis:
             acc = CoordElem()
-            for t_lab, bv in bvecs[b].items():
+            for t_lab, bv in bvec.items():
                 acc = acc + parent.entries[s][index[t_lab]].scaled(bv)
             row.append(acc)
         entries.append(row)

@@ -283,15 +283,9 @@ def quantum_lie_from_central(ws, c):
         raise NotCentralError("functional is not central")
     chis = [_right_translate(ws, c, b) for b in dual.all_words(ws.N, degree)]
     basis = []
-    picked = []
-    for chi, row in zip(chis, dual.word_values(chis, degree)):
-        # forward reduction in insertion order decides membership: each
-        # new basis row is zero at the pivots of the rows before it
-        rest = linalg.reduce_row(row, basis)
-        if rest:
-            basis += linalg.echelon([rest])
-            picked.append(chi)
-    return picked
+    # one reduction per translate decides membership and extends the basis
+    return [chi for chi, row in zip(chis, dual.word_values(chis, degree))
+            if linalg.extend(basis, row)]
 
 
 def _right_translate(ws, c, b):
@@ -452,8 +446,8 @@ def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None):
         cand_rows = [r for r in lie_rows(ws, v, zeta, degree).values() if r]
         if not all(linalg.in_row_space(big, r) for r in cand_rows):
             continue
-        merged = linalg.echelon([r for _, r in found_echelon] + cand_rows)
-        if len(merged) != len(found_echelon) + dim2:
+        merged = list(found_echelon)
+        if sum(linalg.extend(merged, r) for r in cand_rows) != dim2:
             continue
         found_echelon = merged
         found.append(Component(zeta, frame, dim2, degree))

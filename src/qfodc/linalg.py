@@ -2,9 +2,10 @@
 
 Rows and matrices are sparse dicts whose values are field elements (Scalar
 or CycElem); the code only relies on +, -, *, .inverse() and .is_zero(), so
-the same elimination routines serve both ground fields.  Matrices are
-row-major dicts {row_label: {col_label: value}} with arbitrary hashable,
-mutually comparable labels.
+the same elimination routines serve both ground fields.  Elimination is
+forward only: `extend` is its one step, and no basis row is rewritten.
+Matrices are row-major dicts {row_label: {col_label: value}} with arbitrary
+hashable, mutually comparable labels.
 """
 
 from __future__ import annotations
@@ -52,26 +53,27 @@ def reduce_row(row, basis):
     return {c: v for c, v in out.items() if not v.is_zero()}
 
 
-def echelon(rows):
-    """Echelon basis of the row span; rows are not mutated.
+def extend(basis, row):
+    """Append the remainder of row against an echelon basis, its lightest
+    entry normalized to 1 as pivot, when it is nonzero; True iff appended.
+    No earlier basis row is rewritten."""
+    r = reduce_row(row, basis)
+    if not r:
+        return False
+    pc = min(r, key=lambda c: (_weight(r[c]), c))
+    inv = r[pc].inverse()
+    basis.append((pc, {c: inv * v for c, v in r.items()}))
+    return True
 
-    Returns a list of (pivot_col, row) with each pivot normalized to 1 and
-    eliminated from all other basis rows (reduced row echelon, up to row
-    order which follows insertion order).
-    """
+
+def echelon(rows):
+    """Forward echelon basis [(pivot_col, row), ...] of the row span, in
+    insertion order; rows are not mutated.  Each pivot is 1 and each row is
+    zero at the pivots before it, all that reduce_row needs; a caller that
+    reads coordinates at the pivots back-substitutes."""
     basis = []
     for row in rows:
-        r = reduce_row(row, basis)
-        if not r:
-            continue
-        pc = min(r, key=lambda c: (_weight(r[c]), c))
-        inv = r[pc].inverse()
-        r = {c: inv * v for c, v in r.items()}
-        for i, (opc, orow) in enumerate(basis):
-            v = orow.get(pc)
-            if v is not None and not v.is_zero():
-                basis[i] = (opc, row_sub_scaled(orow, v, r))
-        basis.append((pc, r))
+        extend(basis, row)
     return basis
 
 
@@ -171,20 +173,8 @@ def mat_mul(a, b):
         acc = {}
         for k, av in arow.items():
             brow = b.get(k)
-            if not brow:
-                continue
-            for c, bv in brow.items():
-                s = acc.get(c)
-                t = av * bv
-                if s is None:
-                    if not t.is_zero():
-                        acc[c] = t
-                else:
-                    s = s + t
-                    if s.is_zero():
-                        del acc[c]
-                    else:
-                        acc[c] = s
+            if brow:
+                add_scaled(acc, av, brow)
         if acc:
             out[r] = acc
     return out
@@ -232,20 +222,8 @@ def vec_mat(x, a):
     out = {}
     for r, xv in x.items():
         arow = a.get(r)
-        if not arow:
-            continue
-        for c, v in arow.items():
-            s = out.get(c)
-            t = xv * v
-            if s is None:
-                if not t.is_zero():
-                    out[c] = t
-            else:
-                s = s + t
-                if s.is_zero():
-                    del out[c]
-                else:
-                    out[c] = s
+        if arow:
+            add_scaled(out, xv, arow)
     return out
 
 

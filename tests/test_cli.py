@@ -240,13 +240,38 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["dim"] == 4
 
 
-def test_unwritable_out_file_is_config_error(tmp_path, capsys):
+def _no_work(*_):
+    raise AssertionError("the command ran")
+
+
+def test_unwritable_out_file_is_config_error(tmp_path, capsys, monkeypatch):
+    # refused before dispatch: the patched command body never runs
+    monkeypatch.setattr(fodc, "quantum_lie", _no_work)
     target = tmp_path / "missing" / "r.json"
     rc = cli.main(["build", "--series", "sl", "--n", "2", "--corep", "u",
                    "--out", str(target)])
     assert rc == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: cannot write the report: ")
     assert not target.exists()
+
+
+def test_out_directory_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fodc, "quantum_lie", _no_work)
+    rc = cli.main(["build", "--series", "sl", "--n", "2", "--corep", "u",
+                   "--out", str(tmp_path)])
+    assert rc == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert tmp_path.is_dir()
+
+
+def test_existing_out_file_is_not_truncated_before_the_run(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "r.json"
+    target.write_text("previous\n")
+    monkeypatch.setattr(fodc, "quantum_lie", lambda *_: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["build", "--series", "sl", "--n", "2", "--corep", "u",
+                  "--out", str(target)])
+    assert target.read_text() == "previous\n"
 
 
 def test_classify_rejects_corep_with_central(capsys):

@@ -250,6 +250,14 @@ def test_projected_coreps(ws2):
     assert ok
 
 
+def test_sp_projected_corep_reads_reduced_pivots():
+    # the one supported projector whose forward echelon image basis is not
+    # already reduced: projected_corep must back-substitute before reading
+    # coordinates at the pivots, or the counit check of the entries fails
+    sym = Workspace(FieldConfig.sp(2)).corep("proj:sym(tensor(u,u))")
+    assert sym.dim == 10
+
+
 def test_projected_corep_identity_projector(ws2):
     from qfodc import linalg
 
