@@ -14,7 +14,7 @@ from math import gcd as _igcd
 
 from .scalar import (
     ONE, Scalar, ZERO, _padd, _pcontent, _pmul, _pneg, _poly_exact_div,
-    _poly_gcd, _pscale, _pshift, _psub, _pval,
+    _poly_gcd, _pscale, _pshift, _psub, _pval, _to_dense, _to_dict,
 )
 
 
@@ -25,30 +25,11 @@ class InvalidCharacterError(ValueError):
 def cyclotomic_coeffs(n):
     """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
     # x^n - 1 = prod_{d | n} Phi_d; divide out the proper divisors.
-    num = [-1] + [0] * (n - 1) + [1]
+    num = {0: -1, n: 1}
     for d in range(1, n):
-        if n % d:
-            continue
-        phi_d = cyclotomic_coeffs(d)
-        num = _exact_div_int(num, phi_d)
-    return num
-
-
-def _exact_div_int(a, b):
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        c = a[-1] // b[-1]
-        out[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-    assert not any(a), "inexact cyclotomic division"
-    return out
+        if n % d == 0:
+            num = _poly_exact_div(num, _to_dict(cyclotomic_coeffs(d)))
+    return _to_dense(num)
 
 
 class CycRing:
@@ -62,21 +43,22 @@ class CycRing:
         self = super().__new__(cls)
         self.order = order
         mod = cyclotomic_coeffs(order)
-        self.degree = len(mod) - 1
+        d = self.degree = len(mod) - 1
         self.modulus = mod
-        # reduction of x^k for k = degree .. 2*degree-2 as int-coeff rows
-        red = {}
-        for k in range(self.degree, 2 * self.degree - 1):
-            if k == self.degree:
-                row = [-c for c in mod[:-1]]
-            else:
-                prev = red[k - 1]
-                row = [0] + prev[:-1]
-                top = prev[-1]
-                if top:
-                    row = [r - top * c for r, c in zip(row, mod[:-1])]
-            red[k] = row
-        self._reduction = red
+        # x^j mod Phi_n for j < order as integer rows; x^order = 1
+        row = [1] + [0] * (d - 1)
+        roots = [row]
+        for _ in range(order - 1):  # multiply by x, reduce by the modulus
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [r - top * m for r, m in zip(row, mod)]
+            roots.append(row)
+        self._roots = roots
+        self._reduction = {k: roots[k % order] for k in range(d, 2 * d - 1)}
+        # sigma_k: x -> x^k for the units k != 1 mod order; row i is x^(i k)
+        self._conjugations = [[roots[i * k % order] for i in range(d)]
+                              for k in range(2, order) if _igcd(k, order) == 1]
         self.zero = CycElem(self, ({},) * self.degree, _UNIT)
         self.one = self.lift(ONE)
         cls._cache[order] = self
@@ -110,12 +92,7 @@ class CycRing:
 
     def root_power(self, j):
         """x^j mod Phi_n as a ring element."""
-        row = [1] + [0] * (self.degree - 1)
-        for _ in range(j % self.order):  # multiply by x, reduce by the modulus
-            top = row[-1]
-            row = [0] + row[:-1]
-            if top:
-                row = [r - top * m for r, m in zip(row, self.modulus)]
+        row = self._roots[j % self.order]
         return CycElem(self, tuple({0: c} if c else {} for c in row), _UNIT)
 
     def __repr__(self):
@@ -279,22 +256,32 @@ class CycElem:
             nums = tuple(_pmul(n, a) if a else a for a in nums)
         return CycElem(self.ring, nums, den)
 
+    def _conjugate(self, rows):
+        """sigma_k(self), given the integer rows of sigma_k.  sigma_k is
+        invertible over Z[p], so it keeps the form canonical: no gcd."""
+        nums = [{} for _ in rows]
+        for a, row in zip(self.nums, rows):
+            if a:
+                for j, r in enumerate(row):
+                    if r:
+                        _addmul_into(nums[j], a, _UNIT, r)
+        return CycElem(self.ring, tuple(nums), self.den)
+
     def inverse(self):
-        """Inverse via extended Euclid against the (irreducible) modulus."""
+        """Inverse through the norm.  For the numerator part A = self * den,
+        c = prod sigma_k(A) over the units k != 1 and N = A c is fixed by
+        every sigma_k, so it lies in Q(p); then 1/self = den c / N.  All
+        products have denominator 1 and need no gcd; N is the one Scalar
+        inverted."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero cyclotomic element")
         ring = self.ring
-        mod = [Scalar.from_int(c) for c in ring.modulus]
-        a = list(self.coeffs)
-        # Bezout: s*a + t*mod = gcd = const
-        r0, r1 = mod, _trim(a)
-        s0, s1 = [ZERO], [ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        c = r1[0].inverse()
-        return ring.from_coeffs([c * v for v in s1][: ring.degree])
+        a = CycElem(ring, self.nums, _UNIT)
+        c = ring.one
+        for rows in ring._conjugations:
+            c = c * a._conjugate(rows)
+        inv = (a * c).rational_part().inverse()
+        return c._scaled(self.den, _UNIT)._scaled(inv.num, inv.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -396,48 +383,6 @@ def _cancel(den, nums):
     return den, nums
 
 
-def _trim(a):
-    a = list(a)
-    while len(a) > 1 and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b):
-    a = _trim(a)
-    b = _trim(b)
-    q = [ZERO] * max(1, len(a) - len(b) + 1)
-    inv = b[-1].inverse()
-    while len(a) >= len(b) and not (len(a) == 1 and a[0].is_zero()):
-        k = len(a) - len(b)
-        c = a[-1] * inv
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] = a[k + i] - c * b[i]
-        a = _trim(a)
-        if all(v.is_zero() for v in a):
-            a = [ZERO]
-    return _trim(q), _trim(a)
-
-
-def _poly_mul(a, b):
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [ZERO] * (n - len(a))
-    b = list(b) + [ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 # ---------------------------------------------------------------------------
 # admissible characters
 # ---------------------------------------------------------------------------
@@ -445,37 +390,33 @@ def _poly_sub(a, b):
 class Zeta:
     """A root of unity zeta_order^index, stored exactly.
 
-    `value` is a Scalar when the root is rational (orders 1 and 2 and the
-    rational powers of higher roots) and a CycElem otherwise.
+    Its values live in CycRing(ring_order), for a multiple ring_order of the
+    normalised order (by default the order itself): every twist of one
+    configuration and every power of it then shares that configuration's
+    ring.  A value is a Scalar when it is rational (orders 1 and 2 and the
+    rational powers of higher roots) and a CycElem otherwise.  Equality,
+    hash and str read the normalised order and index only.
     """
 
-    __slots__ = ("order", "index", "value")
+    __slots__ = ("order", "index", "ring", "value")
 
-    def __init__(self, order, index):
+    def __init__(self, order, index, ring_order=None):
         index %= order
         g = _igcd(index, order)
         self.order = order // g
         self.index = (index // g) % self.order if self.order > 1 else 0
-        if self.order == 1:
-            self.value = ONE
-        elif self.order == 2:
-            self.value = Scalar.from_int(-1)
-        else:
-            ring = CycRing(self.order)
-            self.value = ring.root_power(self.index)
-            rat = self.value.rational_part()
-            if rat is not None:
-                self.value = rat
+        self.ring = CycRing(ring_order or self.order)
+        self.value = self.power_value(1)
 
     def is_one(self):
         return self.order == 1
 
-    def is_rational(self):
-        return isinstance(self.value, Scalar)
-
     def power_value(self, m):
         """zeta^m as a Scalar or CycElem."""
-        return Zeta(self.order, self.index * m).value if m else ONE
+        ring = self.ring
+        v = ring.root_power(self.index * m * (ring.order // self.order))
+        rat = v.rational_part()
+        return v if rat is None else rat
 
     def __eq__(self, other):
         return (
@@ -508,10 +449,10 @@ def admissible_zeta(config, root_order, power=1):
             f"zeta = {z} is not admissible for {config}: "
             f"need zeta^{config.zeta_order} = 1"
         )
-    return z
+    return Zeta(z.order, z.index, config.zeta_order)
 
 
 def all_admissible(config):
     """All admissible characters for the configuration, 1 first."""
     n = config.zeta_order
-    return [Zeta(n, j) for j in range(n)]
+    return [Zeta(n, j, n) for j in range(n)]

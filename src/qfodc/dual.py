@@ -992,16 +992,6 @@ class Workspace:
                             return False
         return True
 
-    # -- JSON export ---------------------------------------------------------------
-
-    def export_eval_matrix(self, fs, degree):
-        words = all_words(self.N, degree)
-        rows = word_values(fs, degree)
-        return {
-            "columns": [coordalg.word_str(w) for w in words],
-            "rows": [[str(r.get(w, ZERO)) for w in words] for r in rows],
-        }
-
 
 def _tensor_position_map(N, k):
     """Multi-index -> 1-based position in the k-fold tensor power of u.

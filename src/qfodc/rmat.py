@@ -13,8 +13,6 @@ RData and is applied by the L-functional constructors.
 
 from __future__ import annotations
 
-import json
-
 from . import linalg
 from .scalar import FieldConfig, ONE, Scalar, UnsupportedConfigError, ZERO
 
@@ -45,14 +43,6 @@ class RData:
 
     def inverse_matrix(self):
         return _as_matrix(self.inverse_entries)
-
-    def to_json(self):
-        """Debug dump of the sparse entries."""
-        items = [
-            {"i": i, "n": n, "j": j, "m": m, "value": str(v)}
-            for (i, n, j, m), v in sorted(self.entries.items())
-        ]
-        return json.dumps(items)
 
 
 def _as_matrix(entries):

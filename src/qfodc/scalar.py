@@ -505,17 +505,6 @@ class FieldConfig:
             return Scalar.p_power(-1)
         return ONE if self.z_choice == 1 else MINUS_ONE
 
-    def d_i(self, i):
-        """Symmetrizing integers of the Cartan matrix (1-based index)."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple root index {i} out of range")
-        if self.series == "A":
-            return 1
-        return 2 if i == self.rank else 1
-
-    def q_i(self, i):
-        return self.q ** self.d_i(i)
-
     def cartan(self):
         """Cartan matrix as a list of rows (integers)."""
         n = self.rank
@@ -536,42 +525,3 @@ class FieldConfig:
         if self.series == "A":
             return f"SL_q({self.N})"
         return f"Sp_q({self.N})"
-
-
-# ---------------------------------------------------------------------------
-# q-combinatorics
-# ---------------------------------------------------------------------------
-
-def q_int(m, base):
-    """The symmetric q-integer (base^m - base^{-m}) / (base - base^{-1})."""
-    if base.is_zero() or base.is_one() or base == MINUS_ONE:
-        raise ValueError("q-integer base must differ from 0, 1, -1")
-    if m < 0:
-        return -q_int(-m, base)
-    out = ZERO
-    inv = base.inverse()
-    term = base ** (m - 1) if m else ZERO
-    step = inv * inv
-    for _ in range(m):
-        out = out + term
-        term = term * step
-    return out
-
-
-def q_factorial(m, base):
-    if m < 0:
-        raise ValueError("q-factorial of a negative integer")
-    out = ONE
-    for k in range(2, m + 1):
-        out = out * q_int(k, base)
-    return out
-
-
-def q_binomial(m, k, base):
-    """Bracketed binomial [m]!/([k]![m-k]!); a Laurent polynomial in base."""
-    if k < 0 or m < 0 or k > m:
-        raise ValueError("q-binomial needs 0 <= k <= m")
-    num = ONE
-    for i in range(1, k + 1):
-        num = num * q_int(m - k + i, base)
-    return num / q_factorial(k, base)

@@ -33,6 +33,15 @@ def test_build_trivial_calculus(capsys):
     assert json.loads(out)["dim"] == 0
 
 
+def test_sixth_root_twist_builds_in_one_ring(capsys):
+    # zeta6 and its power zeta6^2 = zeta3 meet in the same Lie rows
+    rc, out = run(capsys, "build", "--series", "sl", "--n", "6",
+                  "--corep", "u", "--zeta=w")
+    assert rc == 0
+    data = json.loads(out)
+    assert (data["dim"], data["rank_with_eps"], data["cert_degree"]) == (36, 37, 3)
+
+
 def test_inadmissible_zeta_is_config_error(capsys):
     rc = cli.main(["build", "--series", "sl", "--n", "2", "--corep", "u",
                    "--zeta", "i"])

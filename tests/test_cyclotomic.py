@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfodc.cyclotomic import (
+    CycElem,
     CycRing,
     InvalidCharacterError,
     Zeta,
@@ -65,8 +66,38 @@ def test_zeta_normalization():
     assert Zeta(6, 2) == Zeta(3, 1)
     assert Zeta(2, 1).value == Scalar.from_int(-1)
     z3 = Zeta(3, 1)
-    assert not z3.is_rational()
     assert z3.power_value(3) == ONE
+
+
+def test_twists_of_one_configuration_share_its_ring():
+    cfg = FieldConfig.sl(6)
+    ring = CycRing(cfg.zeta_order)
+    zetas = all_admissible(cfg) + [admissible_zeta(cfg, 6, 2), admissible_zeta(cfg, 2, 1)]
+    values = [z.power_value(m) for z in zetas for m in range(cfg.zeta_order + 1)]
+    assert {v.ring for v in values if isinstance(v, CycElem)} == {ring}
+    w = admissible_zeta(cfg, 6, 1)
+    assert w.value * admissible_zeta(cfg, 6, 2).value == w.power_value(3) == -ONE
+    assert admissible_zeta(cfg, 6, 2) == Zeta(3, 1) and str(Zeta(6, 4)) == "zeta3^2"
+
+
+def test_inverse_inverts_one_scalar(monkeypatch):
+    calls = []
+    inverse = Scalar.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Scalar, "inverse", counted)
+    c = Scalar({0: 1, 1: 2}, {0: 3, 2: 1})
+    for order in (3, 4, 5, 6):
+        ring = CycRing(order)
+        a = ring.from_coeffs([c, ONE] + [Scalar({1: 1}, {0: 1, 1: -2})] * (ring.degree - 2))
+        assert a.rational_part() is None
+        calls.clear()
+        b = a.inverse()
+        assert len(calls) == 1
+        assert a * b == ring.one
 
 
 def test_admissibility():

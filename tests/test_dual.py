@@ -1,6 +1,5 @@
 import functools
 import itertools
-import json
 import random
 
 import pytest
@@ -574,13 +573,6 @@ def test_word_values_match_entries_word_by_word(data):
         fs.append(Functional(terms + [(*entry(), data.draw(CYC_COEFFS))]))
     for f, got in zip(fs, dual.word_values(fs, degree)):
         assert _same_rows(got, _entries_by_word(f.terms, n, degree))
-
-
-def test_export_eval_matrix(ws2):
-    out = ws2.export_eval_matrix([ws2.eps_functional()], 1)
-    assert out["columns"][0] == "1"
-    assert out["rows"][0][0] == "1"
-    json.dumps(out)
 
 
 # -- separation -------------------------------------------------------------

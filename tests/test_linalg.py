@@ -103,9 +103,7 @@ def test_forward_echelon_over_scalars(data):
     check_forward_echelon(data, scalars())
 
 
-# the exact pivot inverse of a CycElem whose coefficients carry independent
-# denominators takes minutes on some five-row draws: three rows, fewer draws
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_forward_echelon_over_cyclotomic(data):
-    check_forward_echelon(data, cyc_elems(3), max_rows=3)
+    check_forward_echelon(data, cyc_elems(3))

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from qfodc import linalg, rmat
@@ -131,12 +129,6 @@ def test_corrupted_entry_breaks_ybe(rdata):
     bad_entries[(1, 1, 1, 1)] = r.config.q + ONE
     bad = rmat.RData(r.config, bad_entries, r.inverse_entries)
     assert not rmat.check_yang_baxter(bad)
-
-
-def test_json_dump(rdata):
-    dump = json.loads(rdata["SL_q(2)"].to_json())
-    assert {"i": 1, "n": 1, "j": 1, "m": 1, "value": "p^2"} in dump
-    assert len(dump) == 5
 
 
 def test_unsupported_config():

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,9 +11,6 @@ from qfodc.scalar import (
     UnsupportedConfigError,
     ZERO,
     parse_scalar,
-    q_binomial,
-    q_factorial,
-    q_int,
 )
 
 from strategies import scalars
@@ -141,68 +137,6 @@ def test_pow():
     assert q ** 0 == ONE
 
 
-# -- q-combinatorics --------------------------------------------------------
-
-def test_q_int_basics():
-    q = FieldConfig.sl(2).q
-    assert q_int(1, q) == ONE
-    assert q_int(0, q) == ZERO
-    assert q_int(2, q) == q + q.inverse()
-    assert q_int(-3, q) == -q_int(3, q)
-    # matches the defining ratio
-
-    for m in range(5):
-        lhs = q_int(m, q) * (q - q.inverse())
-        assert lhs == q ** m - q ** (-m)
-
-
-def test_q_int_bad_base():
-    for bad in (ZERO, ONE, MINUS_ONE):
-        with pytest.raises(ValueError):
-            q_int(2, bad)
-
-
-def subset_q_binomial(m, k, q):
-    """Independent oracle: symmetric q-binomial as a subset sum.
-
-    [m k] = q^{-k(m-k)} * sum over k-subsets S of {0..m-1} of (q^2)^(sum S - C(k,2)).
-    """
-    total = ZERO
-    for s in combinations(range(m), k):
-        e = sum(s) - k * (k - 1) // 2
-        total = total + (q * q) ** e
-    return total * q ** (-k * (m - k))
-
-
-def test_q_binomial_against_subset_oracle():
-    q = FieldConfig.sl(2).q
-    for m in range(7):
-        for k in range(m + 1):
-            assert q_binomial(m, k, q) == subset_q_binomial(m, k, q)
-
-
-def test_q_binomial_examples():
-    q = FieldConfig.sl(3).q
-    assert q_binomial(5, 0, q) == ONE
-    assert q_binomial(2, 1, q) == q + q.inverse()
-    for m in range(6):
-        for k in range(m + 1):
-            b = q_binomial(m, k, q)
-            assert b == q_binomial(m, m - k, q)
-            assert b.is_laurent()
-    assert q_factorial(3, q) == q_int(1, q) * q_int(2, q) * q_int(3, q)
-
-
-def test_q_binomial_bad_args():
-    q = FieldConfig.sl(2).q
-    with pytest.raises(ValueError):
-        q_binomial(2, 3, q)
-    with pytest.raises(ValueError):
-        q_binomial(-1, 0, q)
-    with pytest.raises(ValueError):
-        q_factorial(-2, q)
-
-
 # -- field configuration ----------------------------------------------------
 
 def test_config_a_series():
@@ -210,7 +144,6 @@ def test_config_a_series():
     assert cfg.q == P(3) and cfg.z == P(-1)
     assert cfg.z ** cfg.N == cfg.q.inverse()  # z^N = q^{-1} identically
     assert cfg.rank == 2 and cfg.zeta_order == 3
-    assert cfg.q_i(1) == cfg.q
 
 
 def test_config_c_series():
@@ -219,7 +152,6 @@ def test_config_c_series():
     assert cfg.q == P(1)
     assert cfg.z == ONE and cfg.z * cfg.z == ONE
     assert FieldConfig.sp(1, z_choice=-1).z == MINUS_ONE
-    assert cfg.d_i(1) == 1 and cfg.d_i(2) == 2
     assert cfg.cartan() == [[2, -2], [-1, 2]]
 
 
