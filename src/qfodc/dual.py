@@ -380,6 +380,30 @@ def eps_word_values(degree, N):
     return out
 
 
+def word_rank(rows):
+    """Exact rank of word-indexed rows ({word: value}), certified on the
+    shortest words that suffice.  Dropping columns can only lower a rank,
+    so when the n nonzero rows cut to the words of length <= t have rank n,
+    n is the rank.  Cuts t = 0, 1, ... below the longest word are tried in
+    turn, each only if its rows are nonzero and span at least n columns;
+    when none reaches n, the full rows are eliminated."""
+    rows = [r for r in rows if r]
+    longest = max((len(w) for r in rows for w in r), default=0)
+    for t in range(longest):
+        cut = [{w: v for w, v in r.items() if len(w) <= t} for r in rows]
+        if all(cut) and len(set().union(*cut)) >= len(rows) == linalg.rank(cut):
+            return len(rows)
+    return linalg.rank(rows)
+
+
+def span_ranks(*row_sets):
+    """([word_rank of each row set], word_rank of their union): the data of
+    a span equality (all equal) or of an independence certificate (union =
+    sum)."""
+    union = [r for rows in row_sets for r in rows]
+    return [word_rank(rows) for rows in row_sets], word_rank(union)
+
+
 # ---------------------------------------------------------------------------
 # the per-configuration workspace
 # ---------------------------------------------------------------------------
@@ -916,13 +940,13 @@ class Workspace:
     def stabilized_rank(self, rows_at):
         """Escalate the evaluation degree from START_DEGREE until the rank of
         rows_at(degree) is constant over STABILITY_WINDOW degrees, up to
-        d_max; returns (rank, certified_degree, rows at that degree)."""
+        d_max; returns (rank, certified_degree).  rows_at(degree) are word
+        rows, ranked by word_rank."""
         ranks = []
         for d in range(START_DEGREE, self.d_max + 1):
-            rows = rows_at(d)
-            ranks.append(linalg.rank(rows))
+            ranks.append(word_rank(rows_at(d)))
             if len(ranks) >= STABILITY_WINDOW and len(set(ranks[-STABILITY_WINDOW:])) == 1:
-                return ranks[-1], d, rows
+                return ranks[-1], d
         raise RankUnstableError(
             f"rank did not stabilize up to degree {self.d_max}: {ranks}"
         )
@@ -949,21 +973,21 @@ class Workspace:
 
     def _right_coideal(self, rows, degree):
         """(i) For every basis row X (all rows but the last, eps) and every
-        nonempty word b, X(. b) on words of degree <= degree - |b| lies in
-        the span of the rows truncated to that degree.  X(. b)(w) = X(w b),
-        so the translates are read off the rows themselves."""
-        spans = [
-            linalg.echelon([{w: v for w, v in r.items() if len(w) <= lim} for r in rows])
-            for lim in range(degree)
-        ]
+        generator g, X(. g) on words of degree <= degree - 1 lies in the
+        span of the rows truncated to that degree.  X(. g)(w) = X(w g), so
+        the translates are read off the rows themselves.  This decides every
+        translate X(. b) on words of degree <= degree - |b|, by induction on
+        |b|: X(. g b) = X(. b)(. g) and eps(. g) = eps(g) eps."""
+        span = linalg.echelon(
+            [{w: v for w, v in r.items() if len(w) < degree} for r in rows]
+        )
         for row in rows[:-1]:
             translates = {}
-            for wb, v in row.items():
-                for cut in range(len(wb)):
-                    translates.setdefault(wb[cut:], {})[wb[:cut]] = v
-            for b, translate in translates.items():
-                if not linalg.in_row_space(spans[degree - len(b)], translate):
-                    return False
+            for wg, v in row.items():
+                if wg:
+                    translates.setdefault(wg[-1], {})[wg[:-1]] = v
+            if not all(linalg.in_row_space(span, t) for t in translates.values()):
+                return False
         return True
 
     def _ad_invariant(self, basis, rows, degree):

@@ -77,81 +77,9 @@ def echelon(rows):
     return basis
 
 
-_PRIME = 2**61 - 1
-_POINT = 1_234_567_891_011
-
-
-def _modular_rank(rows):
-    """Rank of the rows specialised at p = _POINT in GF(_PRIME), or None when
-    an entry is not a Scalar or a denominator vanishes at the point.
-
-    Evaluation is a ring map on the Scalars whose denominators do not vanish
-    at the point, so a minor that is nonzero mod _PRIME is nonzero over Q(p):
-    the result never exceeds the exact rank (Schwartz-Zippel, deterministic
-    direction); an unlucky point only makes it smaller.
-    """
-    P = _PRIME
-    powers = {}
-    cols = {}
-
-    def at_point(poly):
-        acc = 0
-        for e, c in poly.items():
-            x = powers.get(e)
-            if x is None:
-                x = powers[e] = pow(_POINT, e, P)
-            acc += c * x
-        return acc % P
-
-    basis = {}  # leading column -> row with leading entry 1, all columns >= it
-    for row in rows:
-        r = {}
-        for c, v in row.items():
-            if not isinstance(v, Scalar):
-                return None
-            x = at_point(v.num)
-            if not v.is_laurent():
-                d = at_point(v.den)
-                if not d:
-                    return None
-                x = x * pow(d, -1, P) % P
-            if x:
-                r[cols.setdefault(c, len(cols))] = x
-        for pc in sorted(basis):
-            x = r.get(pc)
-            if x:
-                for c, y in basis[pc].items():
-                    t = (r.get(c, 0) - x * y) % P
-                    if t:
-                        r[c] = t
-                    else:
-                        del r[c]
-        if r:
-            pc = min(r)
-            inv = pow(r[pc], -1, P)
-            basis[pc] = {c: x * inv % P for c, x in r.items()}
-    return len(basis)
-
-
-def rank(rows, bound=None):
-    """Exact rank over Q(p) (or its cyclotomic extension).
-
-    bound must be a proven upper bound of the rank (default len(rows)).  The
-    modular rank is a lower bound, so when it meets bound it is the rank;
-    otherwise, and always over CycElem, the rows are eliminated exactly.
-    """
-    bound = len(rows) if bound is None else bound
-    if _modular_rank(rows) == bound:
-        return bound
+def rank(rows):
+    """Exact rank over Q(p) (or its cyclotomic extension)."""
     return len(echelon(rows))
-
-
-def span_ranks(*row_sets):
-    """([rank of each row set], rank of their union): the data of a span
-    equality (all equal) or of an independence certificate (union = sum)."""
-    ranks = [rank(rows) for rows in row_sets]
-    # rank is subadditive, so the sum of the part ranks bounds the union's
-    return ranks, rank([r for rows in row_sets for r in rows], bound=sum(ranks))
 
 
 def in_row_space(basis, row):

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qfodc import coordalg, dual, linalg, rmat
+from qfodc import coordalg, dual, fodc, linalg, rmat
+from qfodc.cli import parse_zeta
 from qfodc.coordalg import CoordElem, YoungWeight, coproduct, coproduct_splits
 from qfodc.cyclotomic import Zeta, all_admissible
 from qfodc.dual import (
@@ -461,18 +462,18 @@ def test_span_ranks():
     c = {((1, 2),): ONE}
     a_plus_b = {(): ONE, ((1, 1),): ONE}
     # equal spans, written with different rows
-    assert linalg.span_ranks([a, b], [a_plus_b, b]) == ([2, 2], 2)
+    assert dual.span_ranks([a, b], [a_plus_b, b]) == ([2, 2], 2)
     # strict containment: the first span lies inside the second
-    assert linalg.span_ranks([a], [a, c]) == ([1, 2], 2)
+    assert dual.span_ranks([a], [a, c]) == ([1, 2], 2)
     # independent sets: the union is the sum
-    assert linalg.span_ranks([a, b], [c]) == ([2, 1], 3)
+    assert dual.span_ranks([a, b], [c]) == ([2, 1], 3)
 
 
 def test_l_entries_rank_stabilizes_at_five(ws2):
     u = ws2.corep("u")
     fs = [ws2.l_entry(u, i, j) for i in range(2) for j in range(2)]
     fs.append(ws2.eps_functional())
-    r, deg, _ = ws2.stabilized_rank(lambda d: dual.word_values(fs, d))
+    r, deg = ws2.stabilized_rank(lambda d: dual.word_values(fs, d))
     assert r == 5
     assert deg == 3
 
@@ -480,7 +481,7 @@ def test_l_entries_rank_stabilizes_at_five(ws2):
 def test_trivial_corep_rank_one(ws2):
     one = ws2.corep("1")
     fs = [ws2.l_entry(one, 0, 0)]
-    r, _, _ = ws2.stabilized_rank(lambda d: dual.word_values(fs, d))
+    r, _ = ws2.stabilized_rank(lambda d: dual.word_values(fs, d))
     assert r == 1  # only eps survives
 
 
@@ -655,6 +656,50 @@ def test_ad_invariance_certificate_rejects_diagonal(ws2):
     assert ws2._right_coideal(rows, 2)
     assert not ws2._ad_invariant(basis, rows, 2)
     assert not ws2.coideal_check(basis, 2)[0]
+
+
+def all_suffix_right_coideal(rows, degree):
+    """Reference for Workspace._right_coideal: for every basis row X (all
+    rows but the last, eps) and every nonempty word b, X(. b) on words of
+    degree <= degree - |b| lies in the span of the rows truncated to that
+    degree."""
+    spans = [
+        linalg.echelon([{w: v for w, v in r.items() if len(w) <= lim} for r in rows])
+        for lim in range(degree)
+    ]
+    for row in rows[:-1]:
+        translates = {}
+        for wb, v in row.items():
+            for cut in range(len(wb)):
+                translates.setdefault(wb[cut:], {})[wb[:cut]] = v
+        for b, translate in translates.items():
+            if not linalg.in_row_space(spans[degree - len(b)], translate):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("entry, verdict", [((1, 2), False), ((1, 1), True)])
+def test_generator_translates_decide_the_right_coideal(ws2, entry, verdict):
+    # the two L+ entries of the rejection tests above
+    rows = _span_rows(ws2, [ws2.lplus_entry(*entry)], 2)
+    assert ws2._right_coideal(rows, 2) == all_suffix_right_coideal(rows, 2) == verdict
+
+
+@pytest.mark.parametrize("config, zetas", [
+    (FieldConfig.sl(2), ("1", "-1")),
+    (FieldConfig.sl(3), ("1", "w")),
+    (FieldConfig.sl(4), ("1", "-1", "w")),
+    (FieldConfig.sp(2), ("1", "-1")),
+])
+def test_generator_translates_match_all_suffixes_on_lie_bases(config, zetas):
+    ws = Workspace(config)
+    degree = dual.CHECK_DEGREE
+    for zeta in zetas:
+        lie = fodc.QuantumLieAlgebra(ws, ws.corep("u"), parse_zeta(config, zeta))
+        rows = _span_rows(ws, [x for x in lie.basis if x.terms], degree)
+        verdicts = ws._right_coideal(rows, degree), all_suffix_right_coideal(rows, degree)
+        # X_zeta(u) + C eps is a right coideal
+        assert verdicts == (True, True)
 
 
 # -- comatrix check: one leg per proportionality class --------------------------

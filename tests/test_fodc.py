@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qfodc import coordalg, dual, fodc, linalg
+from qfodc.cli import parse_zeta
 from qfodc.coordalg import CoordElem, YoungWeight, coproduct_splits
 from qfodc.cyclotomic import Zeta
 from qfodc.dual import Functional, Workspace, all_words
@@ -40,17 +41,22 @@ def test_sl2_dims(ws2):
 
 @pytest.mark.parametrize("config, dim", [(FieldConfig.sl(3), 9), (FieldConfig.sp(2), 16)])
 def test_full_rank_certified_without_elimination(config, dim, monkeypatch):
-    # full-rank sets are certified by the modular lower bound alone; a
-    # specialisation that always fell back would still be correct, only slow
+    # a full-rank set is certified on its words of length <= 1: the full
+    # rows, with their longer words, are never eliminated
     ws = Workspace(config)
     u = ws.corep("u")
+    longest = []
+    echelon = linalg.echelon
 
-    def no_echelon(rows):
-        raise AssertionError("exact elimination on a full-rank set")
+    def recorded(rows):
+        longest.append(max(len(w) for r in rows for w in r))
+        return echelon(rows)
 
-    monkeypatch.setattr(linalg, "echelon", no_echelon)
+    monkeypatch.setattr(linalg, "echelon", recorded)
     lie = fodc.quantum_lie(ws, u, Zeta(1, 0))
     assert (lie.certified_dim, lie.rank_with_eps) == (dim, dim + 1)
+    # one cut per degree of the window
+    assert longest == [1, 1]
 
 
 def test_rank_deficient_set_eliminates_once_per_degree(ws2, monkeypatch):
@@ -64,8 +70,25 @@ def test_rank_deficient_set_eliminates_once_per_degree(ws2, monkeypatch):
     monkeypatch.setattr(linalg, "echelon", counted)
     lie = fodc.quantum_lie(ws2, ws2.corep("dsum(1,u)"), Zeta(1, 0))
     assert (lie.certified_dim, lie.rank_with_eps) == (4, 5)
-    # one elimination per degree of the window, none for rank_with_eps
-    assert calls == [9] * (lie.cert_degree - dual.START_DEGREE + 1)
+    # the 5 empty rows of the 9 are dropped; one elimination per degree of
+    # the window, none for rank_with_eps
+    assert calls == [4] * (lie.cert_degree - dual.START_DEGREE + 1)
+
+
+@pytest.mark.parametrize("config, corep, zeta", [
+    (FieldConfig.sl(2), "u", "1"),
+    (FieldConfig.sl(2), "u", "-1"),
+    (FieldConfig.sl(3), "u", "w"),
+    (FieldConfig.sl(2), "dsum(1,u)", "1"),
+    (FieldConfig.sl(2), "dsum(1,u)", "-1"),
+    (FieldConfig.sp(2), "u", "1"),
+])
+def test_rank_with_eps_is_the_rank_with_the_counit_row(config, corep, zeta):
+    ws = Workspace(config)
+    lie = fodc.quantum_lie(ws, ws.corep(corep), parse_zeta(config, zeta))
+    d = lie.cert_degree
+    rows = lie.rows(d) + [dual.eps_word_values(d, ws.N)]
+    assert lie.rank_with_eps == linalg.rank(rows)
 
 
 def test_x_vanishes_at_unit(ws2):

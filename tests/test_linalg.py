@@ -1,18 +1,19 @@
-"""Differential tests: the modular rank certificate and forward elimination
-against exact reduced elimination."""
+"""Differential tests: the cut rank certificate against exact elimination,
+and forward elimination against exact reduced elimination."""
 
 from hypothesis import given, settings, strategies as st
 
-from qfodc import linalg
-from qfodc.scalar import ONE, Scalar
+from qfodc import dual, linalg
+from qfodc.scalar import ONE
 
 from strategies import cyc_elems, scalars
 
 
 @st.composite
-def planted_rows(draw, elems, max_rows=5):
-    """Sparse rows over at most 5 columns, and planted combinations of them."""
-    row = st.dictionaries(st.integers(0, 4), elems, max_size=4)
+def planted_rows(draw, elems, max_rows=5, keys=st.integers(0, 4)):
+    """Sparse rows over the drawn keys (by default at most 5 columns), and
+    planted combinations of them."""
+    row = st.dictionaries(keys, elems, max_size=4)
     base = draw(st.lists(row, max_size=max_rows))
     planted = []
     for _ in range(draw(st.integers(0, 3))):
@@ -22,13 +23,6 @@ def planted_rows(draw, elems, max_rows=5):
                 acc = linalg.row_sub_scaled(acc, -draw(elems), r)
         planted.append(acc)
     return base, planted
-
-
-@st.composite
-def row_sets(draw):
-    """The base and planted Scalar rows of planted_rows, in random order."""
-    base, planted = draw(planted_rows(scalars()))
-    return draw(st.permutations(base + planted))
 
 
 def reduced_echelon(rows):
@@ -50,28 +44,28 @@ def reduced_echelon(rows):
     return basis
 
 
-@settings(deadline=None)
-@given(row_sets())
-def test_modular_rank_bounds_and_rank_is_exact(rows):
-    exact = len(linalg.echelon(rows))
-    modular = linalg._modular_rank(rows)
-    assert modular is None or modular <= exact
-    assert linalg.rank(rows) == exact
-    # a proven upper bound that the modular rank meets skips elimination
-    assert linalg.rank(rows, bound=exact) == exact
+GENS = [(1, 1), (1, 2), (2, 1)]
 
 
-def test_unlucky_point_only_costs_time():
-    p = Scalar.p_power(1)
-    at_point = p - Scalar.from_int(linalg._POINT)
-    # a denominator vanishing at the point: no specialisation
-    rows = [{0: at_point.inverse()}, {1: ONE}]
-    assert linalg._modular_rank(rows) is None
-    assert linalg.rank(rows) == 2
-    # a numerator vanishing at the point: the lower bound drops below bound
-    rows = [{0: at_point}, {1: ONE}]
-    assert linalg._modular_rank(rows) == 1
-    assert linalg.rank(rows) == 2
+def words(lengths):
+    """Words over GENS whose length is drawn from lengths."""
+    return st.sampled_from(lengths).flatmap(lambda k: st.tuples(*[st.sampled_from(GENS)] * k))
+
+
+@st.composite
+def word_rows(draw, elems):
+    """Rows keyed by words of length <= 3, with planted combinations, empty rows
+    and rows supported only on the longest words, in random order."""
+    base, planted = draw(planted_rows(elems, keys=words(range(4))))
+    longest = st.dictionaries(words([3]), elems, min_size=1, max_size=3)
+    empty = [{}] * draw(st.integers(0, 2))
+    return draw(st.permutations(base + planted + draw(st.lists(longest, max_size=2)) + empty))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([scalars(), cyc_elems(3)]).flatmap(word_rows))
+def test_word_rank_is_the_exact_rank(rows):
+    assert dual.word_rank(rows) == linalg.rank(rows)
 
 
 def check_forward_echelon(data, elems, max_rows=5):
