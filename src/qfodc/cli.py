@@ -18,7 +18,7 @@ from . import dual, fodc, rmat
 from .coordalg import NotInvariantError
 from .cyclotomic import InvalidCharacterError, admissible_zeta
 from .dual import CHECK_DEGREE, D_MAX, RankUnstableError, Workspace
-from .scalar import FieldConfig, UnsupportedConfigError
+from .scalar import FieldConfig, UnsupportedConfigError, clear_memos
 
 # mathematical failures: the input was well formed, but a certificate failed
 FAILURES = (
@@ -246,6 +246,7 @@ def _fold_zeta(argv):
 
 
 def main(argv=None):
+    clear_memos()  # each run starts cold, as a user's process does
     parser = make_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:

@@ -13,8 +13,9 @@ from __future__ import annotations
 from math import gcd as _igcd
 
 from .scalar import (
-    ONE, Scalar, ZERO, _padd, _pcontent, _pmul, _pneg, _poly_exact_div,
-    _poly_gcd, _pscale, _pshift, _psub, _pval, _to_dense, _to_dict,
+    ONE, Scalar, _memo, _memo_table, _padd, _pcontent, _pmul, _pneg,
+    _poly_exact_div, _poly_gcd, _pscale, _pshift, _psub, _pval, _to_dense,
+    _to_dict,
 )
 
 
@@ -66,29 +67,6 @@ class CycRing:
 
     def lift(self, s):
         return CycElem(self, (s.num,) + ({},) * (self.degree - 1), s.den)
-
-    def from_coeffs(self, coeffs):
-        """The element sum_i coeffs[i] x^i, coefficients Scalars."""
-        coeffs = list(coeffs)
-        assert len(coeffs) <= self.degree
-        coeffs += [ZERO] * (self.degree - len(coeffs))
-        dens = []
-        for c in coeffs:
-            if c.den != _UNIT and c.den not in dens:
-                dens.append(c.den)
-        if not dens:
-            return CycElem(self, tuple(c.num for c in coeffs), _UNIT)
-        nums = []
-        for c in coeffs:
-            n = c.num
-            for d in dens:
-                if d != c.den:
-                    n = _pmul(n, d)
-            nums.append(n)
-        den = dens[0]
-        for d in dens[1:]:
-            den = _pmul(den, d)
-        return _normalized(self, nums, den)
 
     def root_power(self, j):
         """x^j mod Phi_n as a ring element."""
@@ -161,6 +139,12 @@ class CycElem:
             return self.ring.lift(other)
         return None
 
+    def _plus(self, o):
+        return self._add(o, 1)
+
+    def _minus(self, o):
+        return self._add(o, -1)
+
     def _add(self, o, sign):
         ring = self.ring
         da, db = self.den, o.den
@@ -185,7 +169,7 @@ class CycElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._add(o, 1)
+        return _memo(_ADD, CycElem._plus, self, o)
 
     __radd__ = __add__
 
@@ -193,13 +177,13 @@ class CycElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._add(o, -1)
+        return _memo(_SUB, CycElem._minus, self, o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._add(self, -1)
+        return _memo(_SUB, CycElem._minus, o, self)
 
     def __neg__(self):
         return CycElem(self.ring, tuple(_pneg(n) for n in self.nums), self.den)
@@ -208,6 +192,9 @@ class CycElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        return _memo(_MUL, CycElem._mul, self, o)
+
+    def _mul(self, o):
         if not any(o.nums[1:]):
             return self._scaled(o.nums[0], o.den)
         if not any(self.nums[1:]):
@@ -324,6 +311,11 @@ class CycElem:
 
     def __repr__(self):
         return f"CycElem[{self.ring.order}]({self})"
+
+
+_ADD = _memo_table(CycElem._plus)
+_SUB = _memo_table(CycElem._minus)
+_MUL = _memo_table(CycElem._mul)
 
 
 def _addmul_into(acc, a, b, k):

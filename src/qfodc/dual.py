@@ -147,13 +147,11 @@ def conv(f, g, name=None):
 
     Entries represent all pairwise convolution products f^a_b * g^c_d with
     row (a, c) and column (b, d); multiplicativity is inherited because the
-    coproduct is an algebra map.  Equal entries share one scalar object.
+    coproduct is an algebra map.
     """
     N = f.N
     labels = [(a, c) for a in f.labels for c in g.labels]
     gens = {}
-    seen = {}  # keyed by type too: a rational CycElem equals a Scalar
-    products = {}  # keyed by operand identity; f and g keep every operand alive
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             acc = {}
@@ -170,9 +168,7 @@ def conv(f, g, name=None):
                                 row = acc.setdefault(key, {})
                                 colk = (b, d)
                                 s = row.get(colk)
-                                t = products.get((id(fv), id(gv)))
-                                if t is None:
-                                    t = products[(id(fv), id(gv))] = fv * gv
+                                t = fv * gv
                                 if s is None:
                                     row[colk] = t
                                 else:
@@ -181,8 +177,7 @@ def conv(f, g, name=None):
                                         del row[colk]
                                     else:
                                         row[colk] = s
-            acc = {r: {col: seen.setdefault((v.__class__, v), v) for col, v in row.items()}
-                   for r, row in acc.items() if row}
+            acc = {r: row for r, row in acc.items() if row}
             if acc:
                 gens[(i, j)] = acc
     return MatRep(N, labels, gens, name or f"conv({f.name},{g.name})")

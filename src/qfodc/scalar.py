@@ -223,6 +223,54 @@ def _reduce(num, den):
     return num, den
 
 
+# ---------------------------------------------------------------------------
+# memoised field operations
+# ---------------------------------------------------------------------------
+
+# Each binary operation of Scalar and CycElem keeps one table from an operand
+# pair to the canonical result of the uncached helper, and every result is
+# interned by (class, value), so that equal operands are mostly one object and
+# a lookup seldom compares them (hash-consing).  Results are shared between
+# callers, so nothing may mutate the num/den dicts (or a CycElem's nums) of an
+# operand or a result.  Each class has its own tables, keyed on operands of
+# that class: a rational CycElem equals its Scalar and hashes like it, so one
+# shared table could answer a Scalar product with a CycElem.  A hit only saves
+# time; the result never depends on it.
+
+MEMO_CAP = 1 << 16  # entries per table; a table that reaches it is emptied
+MEMOS = []  # (table, uncached helper) for every memoised operation
+_INTERNED = {}  # (class, value) -> the one shared result equal to value
+
+
+def _memo_table(op):
+    table = {}
+    MEMOS.append((table, op))
+    return table
+
+
+def clear_memos():
+    """Empty every memo table, the cyclotomic ones included.  cli.main calls
+    it on entry, so each run pays the cold cost; a library caller may call it
+    to release the memory."""
+    for table, _ in MEMOS:
+        table.clear()
+    _INTERNED.clear()
+
+
+def _memo(table, op, a, b):
+    key = (a, b)
+    out = table.get(key)
+    if out is None:
+        out = op(a, b)
+        if len(_INTERNED) >= MEMO_CAP:
+            _INTERNED.clear()
+        out = _INTERNED.setdefault((out.__class__, out), out)
+        if len(table) >= MEMO_CAP:
+            table.clear()
+        table[key] = out
+    return out
+
+
 class Scalar:
     """An element of Q(p), immutable and always canonical."""
 
@@ -247,10 +295,6 @@ class Scalar:
         return Scalar({0: k} if k else {}, {0: 1}, _canonical=True)
 
     @staticmethod
-    def from_fraction(a, b):
-        return Scalar({0: a} if a else {}, {0: b})
-
-    @staticmethod
     def p_power(k):
         """The monomial p^k (k may be negative)."""
         return Scalar({k: 1}, {0: 1}, _canonical=True)
@@ -263,15 +307,14 @@ class Scalar:
     def is_one(self):
         return self.num == {0: 1} and self.den == {0: 1}
 
-    def is_laurent(self):
-        """True when the denominator is 1 (a Laurent polynomial in p)."""
-        return self.den == {0: 1}
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        return _memo(_ADD, Scalar._add, self, other)
+
+    def _add(self, other):
         if self.den == other.den:
             num = _padd(self.num, other.num)
             if self.den == {0: 1}:
@@ -283,6 +326,9 @@ class Scalar:
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        return _memo(_SUB, Scalar._sub, self, other)
+
+    def _sub(self, other):
         if self.den == other.den:
             num = _psub(self.num, other.num)
             if self.den == {0: 1}:
@@ -297,6 +343,9 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        return _memo(_MUL, Scalar._mul, self, other)
+
+    def _mul(self, other):
         if not self.num or not other.num:
             return ZERO
         if self.den == {0: 1} and other.den == {0: 1}:
@@ -437,6 +486,10 @@ def parse_scalar(s):
 ZERO = Scalar.from_int(0)
 ONE = Scalar.from_int(1)
 MINUS_ONE = Scalar.from_int(-1)
+
+_ADD = _memo_table(Scalar._add)
+_SUB = _memo_table(Scalar._sub)
+_MUL = _memo_table(Scalar._mul)
 
 
 # ---------------------------------------------------------------------------

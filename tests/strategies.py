@@ -1,9 +1,40 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and element constructors shared by the tests."""
 
 from hypothesis import strategies as st
 
-from qfodc.cyclotomic import CycRing
-from qfodc.scalar import Scalar, ZERO
+from qfodc.cyclotomic import CycElem, CycRing, _normalized
+from qfodc.scalar import Scalar, ZERO, _pmul
+
+_UNIT = {0: 1}
+
+
+def from_fraction(a, b):
+    """The rational number a/b as a Scalar."""
+    return Scalar({0: a} if a else {}, {0: b})
+
+
+def from_coeffs(ring, coeffs):
+    """The element sum_i coeffs[i] x^i of ring, coefficients Scalars."""
+    coeffs = list(coeffs)
+    assert len(coeffs) <= ring.degree
+    coeffs += [ZERO] * (ring.degree - len(coeffs))
+    dens = []
+    for c in coeffs:
+        if c.den != _UNIT and c.den not in dens:
+            dens.append(c.den)
+    if not dens:
+        return CycElem(ring, tuple(c.num for c in coeffs), _UNIT)
+    nums = []
+    for c in coeffs:
+        n = c.num
+        for d in dens:
+            if d != c.den:
+                n = _pmul(n, d)
+        nums.append(n)
+    den = dens[0]
+    for d in dens[1:]:
+        den = _pmul(den, d)
+    return _normalized(ring, nums, den)
 
 
 def _polys(min_exp, max_exp):
@@ -35,4 +66,5 @@ def cyc_coeffs(order):
 
 def cyc_elems(order):
     """Elements of CycRing(order) with cyc_coeffs(order) coefficients."""
-    return cyc_coeffs(order).map(CycRing(order).from_coeffs)
+    ring = CycRing(order)
+    return cyc_coeffs(order).map(lambda coeffs: from_coeffs(ring, coeffs))

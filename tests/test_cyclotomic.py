@@ -1,8 +1,10 @@
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfodc import cli, cyclotomic, scalar
 from qfodc.cyclotomic import (
     CycElem,
     CycRing,
@@ -14,7 +16,7 @@ from qfodc.cyclotomic import (
 )
 from qfodc.scalar import FieldConfig, ONE, Scalar, ZERO
 
-from strategies import cyc_coeffs, cyc_elems, scalars
+from strategies import cyc_coeffs, cyc_elems, from_coeffs, scalars
 
 
 def test_cyclotomic_coeffs():
@@ -42,8 +44,8 @@ def test_ring_arithmetic_and_inverse():
     ring = CycRing(3)
     rng = random.Random(3)
     for _ in range(30):
-        a = ring.from_coeffs([Scalar({rng.randint(-2, 2): rng.randint(1, 3)}),
-                              Scalar({rng.randint(-2, 2): rng.randint(0, 2)})])
+        a = from_coeffs(ring, [Scalar({rng.randint(-2, 2): rng.randint(1, 3)}),
+                               Scalar({rng.randint(-2, 2): rng.randint(0, 2)})])
         b = ring.root_power(rng.randint(0, 2)) * Scalar.from_int(rng.randint(1, 5))
         assert (a + b) - b == a
         if not a.is_zero():
@@ -92,7 +94,7 @@ def test_inverse_inverts_one_scalar(monkeypatch):
     c = Scalar({0: 1, 1: 2}, {0: 3, 2: 1})
     for order in (3, 4, 5, 6):
         ring = CycRing(order)
-        a = ring.from_coeffs([c, ONE] + [Scalar({1: 1}, {0: 1, 1: -2})] * (ring.degree - 2))
+        a = from_coeffs(ring, [c, ONE] + [Scalar({1: 1}, {0: 1, 1: -2})] * (ring.degree - 2))
         assert a.rational_part() is None
         calls.clear()
         b = a.inverse()
@@ -241,8 +243,8 @@ def _agree(elem, ref):
     is the unique canonical form of it."""
     ring = elem.ring
     assert elem.coeffs == ref.coeffs
-    assert elem == ring.from_coeffs(ref.coeffs)
-    assert hash(elem) == hash(ring.from_coeffs(ref.coeffs))
+    assert elem == from_coeffs(ring, ref.coeffs)
+    assert hash(elem) == hash(from_coeffs(ring, ref.coeffs))
     assert str(elem) == str(ref)
     assert elem.complexity() == ref.complexity()
     assert elem.is_zero() == all(c.is_zero() for c in ref.coeffs)
@@ -264,7 +266,7 @@ def _pair(order):
 def test_arithmetic_matches_per_coefficient_reference(case):
     order, ca, cb = case
     ring = CycRing(order)
-    a, b = ring.from_coeffs(ca), ring.from_coeffs(cb)
+    a, b = from_coeffs(ring, ca), from_coeffs(ring, cb)
     ra, rb = RefElem(ring, ca), RefElem(ring, cb)
     _agree(a, ra)
     _agree(b, rb)
@@ -288,7 +290,7 @@ def test_arithmetic_matches_per_coefficient_reference(case):
 def test_inverse_matches_per_coefficient_reference(case):
     order, ca = case
     ring = CycRing(order)
-    a, ra = ring.from_coeffs(ca), RefElem(ring, ca)
+    a, ra = from_coeffs(ring, ca), RefElem(ring, ca)
     if a.is_zero():
         with pytest.raises(ZeroDivisionError):
             a.inverse()
@@ -315,3 +317,65 @@ def test_lift_is_canonical_scalar(s):
         e = CycRing(order).lift(s)
         assert e == s and hash(e) == hash(s) and str(e) == str(s)
         assert e.complexity() == len(s.num) + len(s.den) + CycRing(order).degree - 1
+
+
+# ---------------------------------------------------------------------------
+# memoised operations
+# ---------------------------------------------------------------------------
+
+def _direct(table, op, a, b):
+    return op(a, b)
+
+
+@settings(deadline=None, max_examples=40)
+@given(ORDERS.flatmap(lambda n: st.tuples(st.lists(scalars(), min_size=1, max_size=3),
+                                          st.lists(cyc_elems(n), min_size=1, max_size=2))))
+def test_memo_changes_no_result(case):
+    scalars_, elems = case
+    ring = elems[0].ring
+    # each Scalar also as its lift: equal and equally hashed, another type
+    pool = scalars_ + [ring.lift(s) for s in scalars_] + elems
+    ops = [(op, a, b) for op in (operator.add, operator.sub, operator.mul)
+           for a in pool for b in pool]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_memo", _direct)
+        mp.setattr(cyclotomic, "_memo", _direct)
+        plain = [op(a, b) for op, a, b in ops]
+    scalar.clear_memos()
+    for _ in range(2):  # cold tables, then warm ones
+        memo = [op(a, b) for op, a, b in ops]
+        assert [type(v) for v in memo] == [type(v) for v in plain]
+        assert memo == plain
+
+
+def _fresh(x):
+    """A copy of x that shares no dict with it."""
+    if isinstance(x, Scalar):
+        return Scalar(dict(x.num), dict(x.den), _canonical=True)
+    return CycElem(x.ring, tuple(dict(n) for n in x.nums), dict(x.den))
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --series sl --n 3 --claim minor-tau --degree 3",
+    "build --series sl --n 3 --corep u --zeta=w",
+])
+def test_memo_entries_are_what_their_keys_compute(argv, capsys):
+    """Every entry a run leaves is its key's uncached result, and every key
+    and interned value still hashes as a fresh copy of itself: nothing
+    mutated a shared value."""
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    for (cls, value), out in scalar._INTERNED.items():
+        assert type(out) is cls and out is value
+        assert hash(_fresh(out)) == hash(out) and _fresh(out) == out
+    counts = []
+    for table, op in scalar.MEMOS:
+        for (a, b), out in table.items():
+            fa, fb = _fresh(a), _fresh(b)
+            assert hash(fa) == hash(a) and hash(fb) == hash(b)
+            assert table[fa, fb] is out
+            again = op(fa, fb)
+            assert type(again) is type(out) and again == out
+        counts.append(len(table))
+    assert all(counts[:3])  # the Scalar tables
+    assert any(counts[3:]) == ("--zeta=w" in argv)

@@ -242,12 +242,6 @@ def test_conv_power_rejects_k_below_one(ws2):
             dual.conv_power(ws2.lplus, k)
 
 
-def test_conv_shares_one_object_per_distinct_value(ws3):
-    values = [v for m in dual.conv_power(ws3.lplus, 3).gens.values()
-              for row in m.values() for v in row.values()]
-    assert len({id(v) for v in values}) == len(set(values)) < len(values)
-
-
 def test_pair_words_on_the_empty_fixed_word_is_the_counit(ws2):
     rng = random.Random(5)
     for base in (ws2.lplus, ws2.lminus):

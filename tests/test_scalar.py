@@ -13,7 +13,7 @@ from qfodc.scalar import (
     parse_scalar,
 )
 
-from strategies import scalars
+from strategies import from_fraction, scalars
 
 P = Scalar.p_power
 
@@ -36,7 +36,7 @@ def rand_scalar(rng, max_terms=3, max_exp=4, max_coef=6, laurent_only=False):
 def test_canonical_constants():
     assert ZERO.is_zero() and str(ZERO) == "0"
     assert ONE.is_one() and str(ONE) == "1"
-    assert Scalar({0: 2}, {0: 4}) == Scalar.from_fraction(1, 2)
+    assert Scalar({0: 2}, {0: 4}) == from_fraction(1, 2)
     assert Scalar({2: 2, 0: -2}, {1: 2}) == Scalar({1: 1, -1: -1})
 
 
@@ -105,7 +105,7 @@ def test_parse_print_roundtrip():
         assert parse_scalar(str(a)) == a
     assert parse_scalar("(p^4+1)/p^2") == P(2) + P(-2)
     assert parse_scalar("-3p^2+1") == Scalar({2: -3, 0: 1})
-    assert parse_scalar("5/2") == Scalar.from_fraction(5, 2)
+    assert parse_scalar("5/2") == from_fraction(5, 2)
 
 
 @given(scalars() | st.just(ZERO))
@@ -164,3 +164,47 @@ def test_config_rejects_bad_input():
         FieldConfig("B", 3, 3)
     with pytest.raises(UnsupportedConfigError):
         FieldConfig("C", 2, 1, z_choice=2)
+
+
+# -- memoised operations ------------------------------------------------------
+
+def test_cli_main_starts_with_every_table_empty(monkeypatch, capsys):
+    from qfodc import cli, scalar
+
+    sizes = []
+    workspace = cli.Workspace
+
+    def tables():
+        return [len(table) for table, _ in scalar.MEMOS] + [len(scalar._INTERNED)]
+
+    def recorded(*args):
+        sizes.append(tables())
+        return workspace(*args)
+
+    monkeypatch.setattr(cli, "Workspace", recorded)
+    argv = ["build", "--series", "sl", "--n", "2", "--corep", "u"]
+    for _ in range(2):
+        P(1) * P(2) + P(3) - P(4)
+        assert all(tables()[:3]) and tables()[-1]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(scalar.MEMOS) == 6  # Scalar's +, -, * and CycElem's
+    assert sizes == [[0] * 7] * 2
+    assert all(tables()[:3])
+
+
+def test_a_full_table_is_emptied_and_results_stay(monkeypatch):
+    from qfodc import cyclotomic, scalar
+
+    z = cyclotomic.CycRing(3).root_power(1)
+    cases = ((scalar._MUL, [P(k) for k in range(8)], Scalar({0: 1}, {0: 1, 1: 1})),
+             (cyclotomic._MUL, [z * P(k) for k in range(8)], z + ONE))
+    monkeypatch.setattr(scalar, "MEMO_CAP", 3)
+    for table, lefts, b in cases:
+        scalar.clear_memos()
+        sizes = []
+        for a in lefts:
+            for _ in range(2):  # a miss, then a hit
+                assert a * b == type(a)._mul(a, b)
+            sizes.append(len(table))
+        assert sizes == [1, 2, 3, 1, 2, 3, 1, 2]
