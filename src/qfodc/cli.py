@@ -26,6 +26,7 @@ FAILURES = (
     fodc.NotCentralError,
     fodc.NotDirectError,
     dual.AntipodeFailureError,
+    dual.NotACharacterError,
     rmat.SpectralFailureError,
 )
 

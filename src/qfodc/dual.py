@@ -34,6 +34,10 @@ class AntipodeFailureError(ArithmeticError):
     pass
 
 
+class NotACharacterError(ArithmeticError):
+    pass
+
+
 class UnsupportedFunctionalError(ValueError):
     pass
 
@@ -308,8 +312,8 @@ def word_values(fs, degree):
     column rows of its (rep, row) groups."""
     groups = {}
     for k, f in enumerate(fs):
-        for rep, r, c, co in f.terms:
-            groups.setdefault((rep, r), {}).setdefault(k, []).append((c, co))
+        for key, terms in row_groups(f).items():
+            groups.setdefault(key, {})[k] = terms
     out = [{} for _ in fs]
     for (rep, r), by_f in groups.items():
         read = dict.fromkeys(c for terms in by_f.values() for c, _ in terms)
@@ -318,6 +322,16 @@ def word_values(fs, degree):
             for c, co in terms:
                 linalg.add_scaled(out[k], co, cols[c])
     return out
+
+
+def row_groups(f):
+    """{(rep, row): [(col, coeff), ...]}: f's terms grouped by the row of
+    the representation they read, so that f(w) is the sum over groups of
+    (e_row rep(w)) . (sum coeff e_col)."""
+    groups = {}
+    for rep, r, c, co in f.terms:
+        groups.setdefault((rep, r), []).append((c, co))
+    return groups
 
 
 def column_values(rep, x0, degree, cols=None):
@@ -861,15 +875,36 @@ class Workspace:
     # -- distinguished functionals ----------------------------------------------
 
     def tau_functional(self, weight):
-        """tau(-2 lambda) = prod_k ((l+^1_1 ... l+^k_k)^2)^{m_k}."""
+        """tau(-2 lambda) = prod_k ((l+^1_1 ... l+^k_k)^2)^{m_k}, as the 1x1
+        representation u^i_j -> delta_ij prod_{k in seq} l+^k_k(u^i_i).
+
+        Each l+^k_k is then a character: when every L+ generator value is
+        upper triangular, the diagonal entry of a product of them is the
+        product of their diagonal entries, and when only diagonal
+        generators have diagonal entries, l+^k_k vanishes off them.  Both
+        facts are checked on every call; NotACharacterError is raised when
+        one fails."""
         seq = []
         for k, mult in enumerate(weight.m, start=1):
             seq.extend(list(range(1, k + 1)) * (2 * mult))
-        if not seq:
-            return self.eps_functional()
-        rep = self.power(self.lplus, len(seq))
-        lab = nested_label(seq)
-        return Functional([(rep, lab, lab, ONE)], f"tau(-2*{weight})")
+        for (i, j), m in self.lplus.gens.items():
+            for a, row in m.items():
+                for b, v in row.items():
+                    if not v.is_zero() and (a > b or (a == b and i != j)):
+                        raise NotACharacterError(
+                            f"L+ has entry ({a},{b}) on u^{i}_{j}, so"
+                            f" tau(-2*{weight}) is not a product of characters"
+                        )
+        gens = {}
+        for i in range(1, self.N + 1):
+            diag = self.lplus.gen_matrix(i, i)
+            v = ONE
+            for k in seq:
+                v = v * diag.get(k, {}).get(k, ZERO)
+            if not v.is_zero():
+                gens[(i, i)] = {0: {0: v}}
+        rep = MatRep(self.N, [0], gens, f"tau(-2*{weight})")
+        return Functional([(rep, 0, 0, ONE)], rep.name)
 
     def k_functional(self, i):
         """K_i = l-^1_1 ... l-^i_i."""
@@ -947,13 +982,48 @@ class Workspace:
         )
 
     def functional_equal(self, f, g, degree):
-        """Equality of functionals on all words up to degree, read off one
-        evaluation of f - g.  False is definitive and comes with the least
-        degree of a word where they differ; True certifies up to degree."""
+        """Equality of functionals on all words up to degree, decided on the
+        reachable span of f - g.  Over the direct sum of its (rep, row)
+        groups, f - g reads w -> x0 rho(w) . y.  The states x0 rho(w) grow
+        one word length at a time from the states kept one length before;
+        a state independent of those kept so far is kept.  A dependent
+        state is a combination of kept ones, and so are its value and every
+        state it leads to, so f - g vanishes on the words of degree <= t
+        once it vanishes on the kept states of degree <= t, and a length
+        that keeps nothing closes the span.  False is definitive and comes
+        with the least degree of a word where they differ; True certifies
+        up to degree."""
         degree = positive_or_default(degree, None, "degree")
-        diff = (f - g).word_values(degree)
-        if diff:
-            return False, min(len(w) for w in diff)
+        x0, y, gens = {}, {}, {}
+        for k, ((rep, r), terms) in enumerate(row_groups(f - g).items()):
+            x0[(k, r)] = ONE
+            for c, co in terms:
+                y[(k, c)] = co
+            for gen, m in rep.gens.items():
+                block = gens.setdefault(gen, {})
+                for a, row in m.items():
+                    block[(k, a)] = {(k, b): v for b, v in row.items()}
+        gens = [gens[gen] for gen in sorted(gens)]
+
+        def value(x):
+            return sum((co * x[key] for key, co in y.items() if key in x), ZERO)
+
+        if not value(x0).is_zero():
+            return False, 0
+        basis, layer = [], [x0]
+        linalg.extend(basis, x0)
+        for t in range(1, degree + 1):
+            kept = []
+            for x in layer:
+                for m in gens:
+                    z = linalg.vec_mat(x, m)
+                    if not value(z).is_zero():
+                        return False, t
+                    if linalg.extend(basis, z):
+                        kept.append(z)
+            if not kept:
+                break
+            layer = kept
         return True, degree
 
     def coideal_check(self, basis, degree=None):

@@ -357,6 +357,20 @@ def _double_uc_entry_01(monkeypatch):
     monkeypatch.setattr(coordalg, "contragredient", broken)
 
 
+def _lower_lplus_entry(monkeypatch):
+    # an L+ that is not upper triangular: tau(-2 lambda) is not a character
+    build = dual.lplus
+
+    def broken(config, rdata):
+        rep = build(config, rdata)
+        m = {r: dict(row) for r, row in rep.gen_matrix(1, 1).items()}
+        m.setdefault(2, {})[1] = Scalar.from_int(1)
+        rep.gens[(1, 1)] = m
+        return rep
+
+    monkeypatch.setattr(dual, "lplus", broken)
+
+
 @pytest.mark.parametrize("breaks, argv, reason", [
     (_double_uc_entry_01, "build --series sl --n 2 --corep uc", "comatrix"),
     (lambda mp: mp.setattr(fodc, "is_central", lambda *a, **k: False),
@@ -366,7 +380,8 @@ def _double_uc_entry_01(monkeypatch):
      "classify --series sl --n 2 --central u --zeta=-1", "antipode"),
     (lambda mp: mp.setattr(rmat, "_monomial_roots", lambda coeffs, bound: []),
      "build --series sl --n 2 --corep proj:sym(tensor(u,u))", "monomial roots"),
-], ids=["comatrix", "not-central", "antipode", "spectral"])
+    (_lower_lplus_entry, "verify --series sl --n 2 --claim minor-tau", "characters"),
+], ids=["comatrix", "not-central", "antipode", "spectral", "tau-character"])
 def test_mathematical_failure_exits_1(breaks, argv, reason, monkeypatch, capsys):
     # a failed certificate is a failure (1), not a configuration error (3)
     # and not a traceback

@@ -403,6 +403,40 @@ def test_tau_omega1_is_lplus_square(ws2):
         assert tau.evaluate(CoordElem.from_word(w)) == want
 
 
+def _tau_seq(weight):
+    """The L+ diagonal indices whose product tau(-2 weight) is."""
+    seq = []
+    for k, mult in enumerate(weight.m, start=1):
+        seq.extend(list(range(1, k + 1)) * (2 * mult))
+    return seq
+
+
+@pytest.mark.parametrize(
+    "config", [FieldConfig.sl(2), FieldConfig.sl(3), FieldConfig.sp(2)], ids=str
+)
+def test_tau_character_is_the_diagonal_entry_of_the_lplus_power(config):
+    ws = Workspace(config)
+    fundamental = [YoungWeight.fundamental(k) for k in range(1, config.rank + 1)]
+    for weight in fundamental + [YoungWeight((1, 1)), YoungWeight((2,))]:
+        seq = _tau_seq(weight)
+        lab = dual.nested_label(seq)
+        power = ws.power(ws.lplus, len(seq))
+        want = dual.column_values(power, {lab: ONE}, 3, [lab])[lab]
+        assert ws.tau_functional(weight).word_values(3) == want, weight
+
+
+@pytest.mark.parametrize("gen, a, b", [((1, 1), 2, 1), ((1, 2), 1, 1)],
+                         ids=["strictly-lower", "diagonal-entry-off-diagonal-generator"])
+def test_tau_refuses_lplus_values_that_are_not_characters(gen, a, b):
+    ws = Workspace(FieldConfig.sl(2))
+    m = {r: dict(row) for r, row in ws.lplus.gen_matrix(*gen).items()}
+    m.setdefault(a, {})[b] = ONE
+    ws.lplus.gens[gen] = m
+    with pytest.raises(dual.NotACharacterError):
+        ws.tau_functional(YoungWeight((1,)))
+    assert issubclass(dual.NotACharacterError, ArithmeticError)
+
+
 def test_k_functionals(ws3):
     q = ws3.config.q
     # <K_{alpha_i}, u^r_r> = q_i^{-delta^i_r + delta^{i+1}_r} for r <= n
