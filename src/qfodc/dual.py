@@ -970,11 +970,42 @@ class Workspace:
     def stabilized_rank(self, rows_at):
         """Escalate the evaluation degree from START_DEGREE until the rank of
         rows_at(degree) is constant over STABILITY_WINDOW degrees, up to
-        d_max; returns (rank, certified_degree).  rows_at(degree) are word
-        rows, ranked by word_rank."""
-        ranks = []
+        d_max; returns (rank, certified_degree).
+
+        rows_at(d) must give the same n word rows, in the same order, at
+        every degree, and cut to the words shorter than d they must be
+        rows_at(d - 1).  The rank then grows one word length at a time.
+        With R_t the rows cut to the words of length <= t and K a basis of
+        the combinations of the n rows that vanish on R_{t-1} (the identity
+        at t = 0), rank R_t = rank R_{t-1} + rank of the images K R cut to
+        the words of length t.  The images that depend on those before
+        them, with their tracked coefficients, are the next K, so each word
+        length is eliminated once.  An empty K means rank n at every higher
+        degree, and rows_at is not called again."""
+        rows = rows_at(START_DEGREE)
+        n = len(rows)
+        ranks, rank, t, kernel = [], 0, 0, [{i: ONE} for i in range(n)]
         for d in range(START_DEGREE, self.d_max + 1):
-            ranks.append(word_rank(rows_at(d)))
+            if d > START_DEGREE and kernel:
+                rows = rows_at(d)
+                if len(rows) != n:
+                    raise ValueError(
+                        f"rows_at({d}) gave {len(rows)} rows, not the {n} of "
+                        f"degree {START_DEGREE}")
+            while kernel and t <= d:
+                cut = [{w: v for w, v in row.items() if len(w) == t} for row in rows]
+                basis, next_kernel = [], []
+                for k in kernel:
+                    image = {}
+                    for i, c in k.items():
+                        linalg.add_scaled(image, c, cut[i])
+                    dep = linalg.extend_tracked(basis, image, k)
+                    if dep is not None:
+                        next_kernel.append(dep)
+                rank += len(basis)
+                kernel = next_kernel
+                t += 1
+            ranks.append(rank)
             if len(ranks) >= STABILITY_WINDOW and len(set(ranks[-STABILITY_WINDOW:])) == 1:
                 return ranks[-1], d
         raise RankUnstableError(

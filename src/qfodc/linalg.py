@@ -10,7 +10,7 @@ hashable, mutually comparable labels.
 
 from __future__ import annotations
 
-from .scalar import ONE, Scalar
+from .scalar import ONE, Scalar, ZERO
 
 
 def _weight(v):
@@ -18,6 +18,11 @@ def _weight(v):
     if isinstance(v, Scalar):
         return len(v.num) + len(v.den)
     return v.complexity()
+
+
+def _pivot(row):
+    """Pivot column of a nonzero row: its lightest entry, ties by column."""
+    return min(row, key=lambda c: (_weight(row[c]), c))
 
 
 def add_scaled(acc, coeff, row):
@@ -60,10 +65,33 @@ def extend(basis, row):
     r = reduce_row(row, basis)
     if not r:
         return False
-    pc = min(r, key=lambda c: (_weight(r[c]), c))
+    pc = _pivot(r)
     inv = r[pc].inverse()
     basis.append((pc, {c: inv * v for c, v in r.items()}))
     return True
+
+
+def extend_tracked(basis, row, coeffs):
+    """extend, tracking a coefficient vector alongside the row: basis is
+    [(pivot_col, row, coeffs), ...], and each multiple of a basis row taken
+    off the row is taken off coeffs with that row's coeffs.  A nonzero
+    remainder is appended with its coeffs, both scaled to make the pivot 1,
+    and None is returned; a zero remainder returns its coeffs, a
+    combination whose row vanishes."""
+    row, coeffs = dict(row), dict(coeffs)
+    for pc, brow, bco in basis:
+        v = row.get(pc)
+        if v is not None and not v.is_zero():
+            add_scaled(row, -v, brow)
+            add_scaled(coeffs, -v, bco)
+    row = {c: v for c, v in row.items() if not v.is_zero()}
+    if not row:
+        return coeffs
+    pc = _pivot(row)
+    inv = row[pc].inverse()
+    basis.append((pc, {c: inv * v for c, v in row.items()},
+                  {c: inv * v for c, v in coeffs.items()}))
+    return None
 
 
 def echelon(rows):
@@ -195,40 +223,15 @@ def mat_inverse(a, labels):
 
 def minimal_polynomial(a, labels):
     """Monic minimal polynomial of a sparse square matrix, as an ascending
-    list of Scalar coefficients [c0, c1, ..., 1]."""
+    list of Scalar coefficients [c0, c1, ..., 1]: the first power a^k that
+    depends on the powers before it, with its tracked coefficients."""
     basis = []
     power = mat_identity(labels)
-    combos = []  # augmented coefficient rows
-    k = 0
-    while True:
-        flat = {}
-        for r, row in power.items():
-            for c, v in row.items():
-                flat[(r, c)] = v
-        aug = {("#", k): ONE}
-        row = dict(flat)
-        coeffs = dict(aug)
-        for (pc, brow), bco in zip(basis, combos):
-            v = row.get(pc)
-            if v is not None and not v.is_zero():
-                row = row_sub_scaled(row, v, brow)
-                coeffs = row_sub_scaled(coeffs, v, bco)
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        if not row:
-            out = []
-            lead = coeffs[("#", k)].inverse()
-            for i in range(k + 1):
-                c = coeffs.get(("#", i))
-                out.append(lead * c if c is not None else Scalar.from_int(0))
-            return out
-        pc = min(row, key=lambda c: (_weight(row[c]), c))
-        f = row[pc].inverse()
-        row = {c: f * v for c, v in row.items()}
-        coeffs = {c: f * v for c, v in coeffs.items()}
-        basis.append((pc, row))
-        combos.append(coeffs)
+    for k in range(len(labels) + 2):
+        flat = {(r, c): v for r, row in power.items() for c, v in row.items()}
+        dep = extend_tracked(basis, flat, {k: ONE})
+        if dep is not None:
+            lead = dep[k].inverse()
+            return [lead * dep[i] if i in dep else ZERO for i in range(k + 1)]
         power = mat_mul(power, a)
-        k += 1
-        if k > len(labels) + 1:
-            raise ArithmeticError("minimal polynomial search exceeded bound")
-
+    raise ArithmeticError("minimal polynomial search exceeded bound")

@@ -513,11 +513,21 @@ def test_trivial_corep_rank_one(ws2):
     assert r == 1  # only eps survives
 
 
+def staircase(d):
+    """Rows k = 1..5, row k only on one word of length k, cut to degree d:
+    rank d at degree d."""
+    return [{((1, 1),) * k: ONE} if k <= d else {} for k in range(1, 6)]
+
+
 def test_stabilized_rank_unstable_raises(ws2):
     # rank d at degree d never repeats within the window
     with pytest.raises(RankUnstableError):
-        Workspace(FieldConfig.sl(2), d_max=3).stabilized_rank(
-            lambda d: [{(i,): ONE} for i in range(d)])
+        Workspace(FieldConfig.sl(2), d_max=3).stabilized_rank(staircase)
+
+
+def test_stabilized_rank_rejects_a_changing_row_count(ws2):
+    with pytest.raises(ValueError):
+        ws2.stabilized_rank(lambda d: staircase(d)[:d + 1])
 
 
 def test_policy_rejects_out_of_range():

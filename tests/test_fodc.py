@@ -39,40 +39,77 @@ def test_sl2_dims(ws2):
         assert lie.rank_with_eps == 5
 
 
+def record_eliminations(monkeypatch):
+    """Patch linalg.extend_tracked to record [(basis, row), ...], one entry
+    per row eliminated; holding each basis keeps the lists apart by
+    identity."""
+    calls = []
+    extend_tracked = linalg.extend_tracked
+
+    def recorded(basis, row, coeffs):
+        calls.append((basis, row))
+        return extend_tracked(basis, row, coeffs)
+
+    monkeypatch.setattr(linalg, "extend_tracked", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("config, dim", [(FieldConfig.sl(3), 9), (FieldConfig.sp(2), 16)])
 def test_full_rank_certified_without_elimination(config, dim, monkeypatch):
-    # a full-rank set is certified on its words of length <= 1: the full
-    # rows, with their longer words, are never eliminated
+    # a full-rank set is certified on its words of length <= 1: once no
+    # combination of the rows vanishes there, rows_at is not called again,
+    # and no longer word is eliminated
     ws = Workspace(config)
     u = ws.corep("u")
-    longest = []
-    echelon = linalg.echelon
+    lie = fodc.QuantumLieAlgebra(ws, u, Zeta(1, 0))
+    degrees = []
+    rows = lie.rows
 
-    def recorded(rows):
-        longest.append(max(len(w) for r in rows for w in r))
-        return echelon(rows)
+    def rows_at(d):
+        degrees.append(d)
+        return rows(d)
 
-    monkeypatch.setattr(linalg, "echelon", recorded)
-    lie = fodc.quantum_lie(ws, u, Zeta(1, 0))
-    assert (lie.certified_dim, lie.rank_with_eps) == (dim, dim + 1)
-    # one cut per degree of the window
-    assert longest == [1, 1]
+    lie.rows = rows_at
+    calls = record_eliminations(monkeypatch)
+    assert lie.certify_dim() == (dim, dual.START_DEGREE + 1)
+    assert lie.rank_with_eps == dim + 1
+    assert degrees == [dual.START_DEGREE]
+    assert calls and max(len(w) for _, row in calls for w in row) == 1
 
 
 def test_rank_deficient_set_eliminates_once_per_degree(ws2, monkeypatch):
-    calls = []
-    echelon = linalg.echelon
-
-    def counted(rows):
-        calls.append(len(rows))
-        return echelon(rows)
-
-    monkeypatch.setattr(linalg, "echelon", counted)
+    calls = record_eliminations(monkeypatch)
     lie = fodc.quantum_lie(ws2, ws2.corep("dsum(1,u)"), Zeta(1, 0))
     assert (lie.certified_dim, lie.rank_with_eps) == (4, 5)
-    # the 5 empty rows of the 9 are dropped; one elimination per degree of
-    # the window, none for rank_with_eps
-    assert calls == [4] * (lie.cert_degree - dual.START_DEGREE + 1)
+    # each elimination holds the words of one length, and each length up
+    # to cert_degree is eliminated at most once
+    lengths = []
+    for basis in {id(b): b for b, _ in calls}.values():
+        seen = {len(w) for b, row in calls if b is basis for w in row}
+        assert len(seen) <= 1
+        lengths += seen
+    assert len(lengths) == len(set(lengths))
+    assert set(lengths) <= set(range(lie.cert_degree + 1))
+
+
+def test_lie_rows_grow_by_one_word_length():
+    # the contract of stabilized_rank: lie_rows(d) cut to the words shorter
+    # than d is lie_rows(d - 1)
+    cases = [(FieldConfig.sl(2), c, z) for c in ("u", "tensor(u,u)", "dsum(1,u)")
+             for z in ("1", "-1")]
+    cases += [(FieldConfig.sl(3), c, z) for c in ("u", "tensor(u,u)", "dsum(1,u)")
+              for z in ("1", "w")]
+    cases.append((FieldConfig.sp(2), "u", "1"))
+    for config, corep, z in cases:
+        ws = Workspace(config)
+        v, zeta = ws.corep(corep), parse_zeta(config, z)
+        shorter = fodc.lie_rows(ws, v, zeta, dual.START_DEGREE - 1)
+        for d in range(dual.START_DEGREE, dual.CHECK_DEGREE + 1):
+            rows = fodc.lie_rows(ws, v, zeta, d)
+            assert list(rows) == list(shorter)
+            cut = {k: {w: x for w, x in row.items() if len(w) < d} for k, row in rows.items()}
+            assert cut == shorter, (config, corep, z, d)
+            shorter = rows
 
 
 @pytest.mark.parametrize("config, corep, zeta", [

@@ -1,10 +1,15 @@
-"""Differential tests: the cut rank certificate against exact elimination,
-and forward elimination against exact reduced elimination."""
+"""Differential tests: the cut rank certificate and the rank carried
+across word lengths against exact elimination, and forward elimination
+against exact reduced elimination."""
 
+import functools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfodc import dual, linalg
-from qfodc.scalar import ONE
+from qfodc.dual import RankUnstableError, Workspace
+from qfodc.scalar import FieldConfig, ONE
 
 from strategies import cyc_elems, scalars
 
@@ -83,6 +88,20 @@ def check_forward_echelon(data, elems, max_rows=5):
         assert all(prev not in row for prev, _ in basis[:i])
     grown = []
     assert sum(linalg.extend(grown, r) for r in rows) == len(grown) == len(basis)
+    # tracking coefficients changes no pivot, and each dependent row's
+    # coefficients combine the rows to zero
+    tracked, deps = [], []
+    for i, r in enumerate(rows):
+        dep = linalg.extend_tracked(tracked, r, {i: ONE})
+        if dep is not None:
+            deps.append(dep)
+    assert [pc for pc, _, _ in tracked] == [pc for pc, _ in basis]
+    assert len(deps) == len(rows) - len(basis)
+    for dep in deps:
+        acc = {}
+        for i, c in dep.items():
+            linalg.add_scaled(acc, c, rows[i])
+        assert acc == {}
     nonzero = data.draw(elems.filter(lambda x: not x.is_zero()))
     outside = {**(planted[0] if planted else {}), 5: nonzero}
     members = [linalg.echelon(base), reduced_echelon(base)]
@@ -101,3 +120,59 @@ def test_forward_echelon_over_scalars(data):
 @given(st.data())
 def test_forward_echelon_over_cyclotomic(data):
     check_forward_echelon(data, cyc_elems(3))
+
+
+# -- the rank carried across word lengths -------------------------------------
+
+TOP = 5  # the longest word of a drawn family
+
+
+@functools.cache
+def workspace(d_max):
+    return Workspace(FieldConfig.sl(2), d_max=d_max)
+
+
+def cut(rows, d):
+    return [{w: v for w, v in r.items() if len(w) <= d} for r in rows]
+
+
+@st.composite
+def word_families(draw, elems):
+    """A fixed list of rows on words of length <= TOP, shuffled: rows on
+    words of every length, rows empty below a drawn length, combinations
+    of them that a term on a longer word breaks, and sometimes a staircase
+    (row k only on one word of length k), whose rank grows at every
+    degree."""
+    some = st.dictionaries(words(range(TOP + 1)), elems, max_size=4)
+    rows = draw(st.lists(some, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        low = draw(st.integers(1, TOP))
+        rows.append(draw(st.dictionaries(words(range(low, TOP + 1)), elems,
+                                         min_size=1, max_size=3)))
+    for _ in range(draw(st.integers(0, 3))):
+        acc = {}
+        for r in rows:
+            if draw(st.booleans()):
+                linalg.add_scaled(acc, draw(elems), r)
+        if draw(st.booleans()):
+            linalg.add_scaled(acc, ONE, {draw(words(range(2, TOP + 1))): draw(elems)})
+        rows.append(acc)
+    if draw(st.booleans()):
+        rows += [{draw(words([k])): draw(elems)} for k in range(1, TOP + 1)]
+    return draw(st.permutations(rows))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([scalars(), cyc_elems(3)]).flatmap(word_families),
+       st.integers(dual.START_DEGREE + dual.STABILITY_WINDOW - 1, TOP))
+def test_stabilized_rank_is_the_exact_rank_at_each_degree(rows, d_max):
+    ranks = []
+    for d in range(dual.START_DEGREE, d_max + 1):
+        ranks.append(linalg.rank(cut(rows, d)))
+        window = ranks[-dual.STABILITY_WINDOW:]
+        if len(window) == dual.STABILITY_WINDOW and len(set(window)) == 1:
+            assert workspace(d_max).stabilized_rank(lambda d: cut(rows, d)) == (ranks[-1], d)
+            return
+    with pytest.raises(RankUnstableError) as exc:
+        workspace(d_max).stabilized_rank(lambda d: cut(rows, d))
+    assert str(exc.value).endswith(str(ranks))
