@@ -39,6 +39,14 @@ def positive_int(text):
     return value
 
 
+def nonnegative_int(text):
+    """argparse type for --frame-bound: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def make_parser():
     p = argparse.ArgumentParser(
         prog="qfodc",
@@ -82,7 +90,7 @@ def make_parser():
     target.add_argument("--central", default=None,
                         help="classify the span generated by the central element "
                              "c_zeta(corep descriptor)")
-    c.add_argument("--frame-bound", type=int, default=2)
+    c.add_argument("--frame-bound", type=nonnegative_int, default=2)
 
     r = sub.add_parser("report", help="build plus the standard verification bundle")
     common(r)

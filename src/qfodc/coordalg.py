@@ -191,11 +191,7 @@ def exterior_relations(rdata, projectors=None):
     # antisymmetrizer = projector of rank N(N-1)/2
     N = rdata.N
     target = N * (N - 1) // 2
-    anti = None
-    for _, pmat in projectors:
-        if _rmat.mat_rank(pmat) == target:
-            anti = pmat
-            break
+    anti = _rmat.projector_of_rank(projectors, target)
     if anti is None:
         raise InvalidDegreeError("no antisymmetrizer projector of the expected rank")
     for row in anti.values():
@@ -291,9 +287,6 @@ class Corep:
                     raise NotInvariantError(
                         f"counit of entry ({i},{j}) of {label} is {eps}, want {want}"
                     )
-
-    def entry(self, i, j):
-        return self.entries[i][j]
 
     def __str__(self):
         return f"Corep[{self.label}, dim {self.dim}]"

@@ -38,10 +38,6 @@ class NotACharacterError(ArithmeticError):
     pass
 
 
-class UnsupportedFunctionalError(ValueError):
-    pass
-
-
 # The degree-escalation policy.  A rank is computed at START_DEGREE,
 # START_DEGREE + 1, ... and certified at the first degree where the last
 # STABILITY_WINDOW ranks agree; it is given up above Workspace's d_max
@@ -277,23 +273,6 @@ class Functional:
                 total = co + total
         return total
 
-    def evaluate_word(self, word):
-        total = ZERO
-        for rep, r, c, co in self.terms:
-            v = rep.entry_on_word(r, c, word)
-            if not v.is_zero():
-                total = co * v + total
-        return total
-
-    def evaluate(self, elem):
-        """Linear evaluation on a CoordElem."""
-        total = ZERO
-        for w, c in elem.terms.items():
-            v = self.evaluate_word(w)
-            if not v.is_zero():
-                total = c * v + total
-        return total
-
     def word_values(self, degree):
         """Values on all words of degree <= degree, as {word: value}; words
         with value exactly zero are omitted."""
@@ -516,12 +495,6 @@ class Workspace:
         axioms (with the leg-order reversal in the second slot)."""
         return self._pairing(self.lplus, a, b)
 
-    def rbar_form(self, a, b):
-        """Convolution inverse of the r-form, extended from R^{-1} by the
-        inverse bicharacter axioms (degree-preserving; agrees with
-        r(S(a) (x) b), which is spot-checked in the tests)."""
-        return self._pairing(self.lminus, b, a)
-
     def q_form(self, a, b):
         """q(a (x) b) = r(b1 (x) a1) r(a2 (x) b2), the factorizability form."""
         total = ZERO
@@ -647,9 +620,6 @@ class Workspace:
                     return False
         return True
 
-    def antipode(self, a):
-        return coordalg.apply_antipode(a, self.antipode_table())
-
     # -- exterior algebra, minors, coreps --------------------------------------
 
     def spectral_projectors(self):
@@ -673,10 +643,6 @@ class Workspace:
             rel = self.exterior_relations() if k > 1 else None
             self._minor_tables[k] = coordalg.quantum_minors(self.N, k, rel)
         return self._minor_tables[k]
-
-    def principal_minor(self, k):
-        key = tuple(range(1, k + 1))
-        return self.minor_table(k)[(key, key)]
 
     def corep(self, descriptor):
         """Parse a corepresentation descriptor and register the result.
@@ -731,11 +697,7 @@ class Workspace:
                 )
             parent = self.corep("tensor(u,u)")
             want = N * (N + 1) // 2 if which == "sym" else N * (N - 1) // 2
-            pmat = None
-            for _, p in self.spectral_projectors():
-                if rmat.mat_rank(p) == want:
-                    pmat = p
-                    break
+            pmat = rmat.projector_of_rank(self.spectral_projectors(), want)
             if pmat is None:
                 raise UnsupportedConfigError(
                     f"{desc!r}: no spectral projector of rank {want} on {self.config}"
@@ -906,53 +868,7 @@ class Workspace:
         rep = MatRep(self.N, [0], gens, f"tau(-2*{weight})")
         return Functional([(rep, 0, 0, ONE)], rep.name)
 
-    def k_functional(self, i):
-        """K_i = l-^1_1 ... l-^i_i."""
-        rep = self.power(self.lminus, i)
-        lab = nested_label(range(1, i + 1))
-        return Functional([(rep, lab, lab, ONE)], f"K_{i}")
-
-    def k_alpha_functional(self, i):
-        """K_{alpha_i} = prod_j K_j^{a_ji} via antipodes for negative powers."""
-        a = self.config.cartan()
-        factors = []
-        for j in range(1, self.config.rank + 1):
-            e = a[j - 1][i - 1]
-            if e == 0:
-                continue
-            base = self.power(self.lminus, j)
-            lab = nested_label(range(1, j + 1))
-            if e < 0:
-                base = antipode_rep(base, self.config)
-                e = -e
-            factors.extend([(base, lab)] * e)
-        rep = None
-        row = None
-        for base, lab in factors:
-            if rep is None:
-                rep, row = base, lab
-            else:
-                rep = conv(rep, base)
-                row = (row, lab)
-        return Functional([(rep, row, row, ONE)], f"K_alpha_{i}")
-
     # -- adjoint action -----------------------------------------------------------
-
-    def ad_r(self, f, x):
-        """ad_R(f)x = S(f_(1)) x f_(2) for f a MatRep-housed functional."""
-        if not f.terms:
-            return Functional([], "ad(0)")
-        freps = {rep for rep, *_ in f.terms}
-        if len(freps) != 1:
-            raise UnsupportedFunctionalError("ad_r needs f inside a single MatRep")
-        frep = freps.pop()
-        out_terms = []
-        for xrep, xr, xc, xco in x.terms:
-            c3 = self._ad_rep(frep, xrep)
-            for _, a, b, fco in f.terms:
-                for k in frep.labels:
-                    out_terms.append((c3, (k, (xr, k)), (a, (xc, b)), fco * xco))
-        return Functional(out_terms, f"ad({f.label}){x.label}")
 
     def _ad_rep(self, frep, xrep):
         """conv(S(frep), conv(xrep, frep)), the MatRep that houses ad_R(f)x

@@ -178,24 +178,6 @@ class Calculus:
                 out[tgt] = out[tgt] - coeff * elem
         return out
 
-    def right_ideal_member(self, a):
-        """a in R_Gamma iff eps(a) = 0 and X(a) = 0 for every basis X."""
-        if not a.counit().is_zero():
-            return False
-        deg = a.degree()
-        xtab = self.x_values(deg)
-        for tab in xtab.values():
-            total = None
-            for w, c in a.terms.items():
-                v = tab.get(w)
-                if v is None:
-                    continue
-                t = c * v
-                total = t if total is None else total + t
-            if total is not None and not total.is_zero():
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # central elements

@@ -31,18 +31,9 @@ class RData:
         self.z = config.z
         self.N = config.N
 
-    def entry(self, i, n, j, m):
-        return self.entries.get((i, n, j, m), ZERO)
-
     def pair_labels(self):
         N = self.N
         return [(i, n) for i in range(1, N + 1) for n in range(1, N + 1)]
-
-    def matrix(self):
-        return _as_matrix(self.entries)
-
-    def inverse_matrix(self):
-        return _as_matrix(self.inverse_entries)
 
 
 def _as_matrix(entries):
@@ -138,24 +129,6 @@ def check_yang_baxter(r):
     return linalg.mat_eq(lhs, rhs)
 
 
-def check_braid_relation(r):
-    """(Rhat x 1)(1 x Rhat)(Rhat x 1) = (1 x Rhat)(Rhat x 1)(1 x Rhat)."""
-    N = r.N
-    rh_entries = {}
-    for (i, n, j, m), v in r.entries.items():
-        rh_entries[(n, i, j, m)] = v
-    a = _leg_matrix(rh_entries, N, (0, 1))
-    b = _leg_matrix(rh_entries, N, (1, 2))
-    lhs = linalg.mat_mul(linalg.mat_mul(a, b), a)
-    rhs = linalg.mat_mul(linalg.mat_mul(b, a), b)
-    return linalg.mat_eq(lhs, rhs)
-
-
-def check_inverse(r):
-    prod = linalg.mat_mul(r.matrix(), r.inverse_matrix())
-    return linalg.mat_is_identity(prod, r.pair_labels())
-
-
 def check_minimal_polynomial(r):
     """Exact monic minimal polynomial of the braid operator, ascending."""
     return linalg.minimal_polynomial(rhat(r), r.pair_labels())
@@ -224,5 +197,11 @@ def spectral_projectors(r):
     return list(zip(eigs, projectors))
 
 
-def mat_rank(m):
-    return linalg.rank(list(m.values()))
+def projector_of_rank(projectors, rank):
+    """The first of spectral_projectors' (eigenvalue, projector) pairs whose
+    projector has the given rank, in eigenvalue order; None if there is
+    none."""
+    for _, pmat in projectors:
+        if linalg.rank(list(pmat.values())) == rank:
+            return pmat
+    return None

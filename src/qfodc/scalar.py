@@ -500,6 +500,14 @@ class UnsupportedConfigError(ValueError):
     pass
 
 
+# The largest matrix size N, checked where N enters, before the N^2 x N^2
+# R-matrix is built and inverted.  The cost grows steeply with N: `build
+# --corep u` takes 0.9 s of process time at SL_q(16) and 1.5 s at Sp_q(16),
+# against 4.8 s at SL_q(24) and 8.0 s at Sp_q(24) (2-CPU x86-64 Linux host,
+# Python 3.11).  The CLI's tests, CI and benchmark use N <= 7.
+MAX_N = 16
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Ground data of one quantum group: series, matrix size and the fixed
@@ -529,6 +537,10 @@ class FieldConfig:
                 raise UnsupportedConfigError("series C needs z in {1, -1}")
         else:
             raise UnsupportedConfigError(f"unknown series {self.series!r}")
+        if self.N > MAX_N:
+            raise UnsupportedConfigError(
+                f"matrix size N = {self.N} is above the supported maximum {MAX_N}"
+            )
 
     @staticmethod
     def sl(N):
@@ -557,22 +569,6 @@ class FieldConfig:
         if self.series == "A":
             return Scalar.p_power(-1)
         return ONE if self.z_choice == 1 else MINUS_ONE
-
-    def cartan(self):
-        """Cartan matrix as a list of rows (integers)."""
-        n = self.rank
-        a = [[0] * n for _ in range(n)]
-        for i in range(n):
-            a[i][i] = 2
-            if i + 1 < n:
-                a[i][i + 1] = -1
-                a[i + 1][i] = -1
-        if self.series == "C" and n >= 2:
-            # long simple root alpha_n: a_{n-1,n} = -2 in the convention
-            # with a_{ij} = 2(alpha_i,alpha_j)/(alpha_i,alpha_i)
-            a[n - 1][n - 2] = -1
-            a[n - 2][n - 1] = -2
-        return a
 
     def __str__(self):
         if self.series == "A":

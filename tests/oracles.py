@@ -1,0 +1,165 @@
+"""Reference helpers that only the tests call.
+
+Each is a plain function over the package's objects: direct evaluation of a
+functional word by word, the convolution inverse of the r-form, the antipode
+of an element, distinguished functionals, the adjoint action, right-ideal
+membership and two R-matrix oracles.  Nothing in src/qfodc calls them; the
+tests compare the package's results against them.
+"""
+
+from qfodc import coordalg, linalg, rmat
+from qfodc.dual import Functional, antipode_rep, conv, nested_label
+from qfodc.scalar import ONE, ZERO
+
+
+class UnsupportedFunctionalError(ValueError):
+    pass
+
+
+# -- functionals on words ----------------------------------------------------
+
+def evaluate_word(f, word):
+    """f on one word, each term's entry chained along the word."""
+    total = ZERO
+    for rep, r, c, co in f.terms:
+        v = rep.entry_on_word(r, c, word)
+        if not v.is_zero():
+            total = co * v + total
+    return total
+
+
+def evaluate(f, elem):
+    """Linear evaluation of f on a CoordElem."""
+    total = ZERO
+    for w, c in elem.terms.items():
+        v = evaluate_word(f, w)
+        if not v.is_zero():
+            total = c * v + total
+    return total
+
+
+# -- the workspace's forms, antipode and distinguished functionals -----------
+
+def rbar_form(ws, a, b):
+    """Convolution inverse of the r-form, extended from R^{-1} by the
+    inverse bicharacter axioms (degree-preserving; agrees with
+    r(S(a) (x) b))."""
+    return ws._pairing(ws.lminus, b, a)
+
+
+def antipode(ws, a):
+    """S(a) by the workspace's oracle-pinned generator table."""
+    return coordalg.apply_antipode(a, ws.antipode_table())
+
+
+def principal_minor(ws, k):
+    key = tuple(range(1, k + 1))
+    return ws.minor_table(k)[(key, key)]
+
+
+def k_functional(ws, i):
+    """K_i = l-^1_1 ... l-^i_i."""
+    rep = ws.power(ws.lminus, i)
+    lab = nested_label(range(1, i + 1))
+    return Functional([(rep, lab, lab, ONE)], f"K_{i}")
+
+
+def cartan(config):
+    """Cartan matrix as a list of rows (integers)."""
+    n = config.rank
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = 2
+        if i + 1 < n:
+            a[i][i + 1] = -1
+            a[i + 1][i] = -1
+    if config.series == "C" and n >= 2:
+        # long simple root alpha_n: a_{n-1,n} = -2 in the convention
+        # with a_{ij} = 2(alpha_i,alpha_j)/(alpha_i,alpha_i)
+        a[n - 1][n - 2] = -1
+        a[n - 2][n - 1] = -2
+    return a
+
+
+def k_alpha_functional(ws, i):
+    """K_{alpha_i} = prod_j K_j^{a_ji} via antipodes for negative powers."""
+    a = cartan(ws.config)
+    factors = []
+    for j in range(1, ws.config.rank + 1):
+        e = a[j - 1][i - 1]
+        if e == 0:
+            continue
+        base = ws.power(ws.lminus, j)
+        lab = nested_label(range(1, j + 1))
+        if e < 0:
+            base = antipode_rep(base, ws.config)
+            e = -e
+        factors.extend([(base, lab)] * e)
+    rep = None
+    row = None
+    for base, lab in factors:
+        if rep is None:
+            rep, row = base, lab
+        else:
+            rep = conv(rep, base)
+            row = (row, lab)
+    return Functional([(rep, row, row, ONE)], f"K_alpha_{i}")
+
+
+def ad_r(ws, f, x):
+    """ad_R(f)x = S(f_(1)) x f_(2) for f a MatRep-housed functional."""
+    if not f.terms:
+        return Functional([], "ad(0)")
+    freps = {rep for rep, *_ in f.terms}
+    if len(freps) != 1:
+        raise UnsupportedFunctionalError("ad_r needs f inside a single MatRep")
+    frep = freps.pop()
+    out_terms = []
+    for xrep, xr, xc, xco in x.terms:
+        c3 = ws._ad_rep(frep, xrep)
+        for _, a, b, fco in f.terms:
+            for k in frep.labels:
+                out_terms.append((c3, (k, (xr, k)), (a, (xc, b)), fco * xco))
+    return Functional(out_terms, f"ad({f.label}){x.label}")
+
+
+# -- calculi -----------------------------------------------------------------
+
+def right_ideal_member(cal, a):
+    """a in R_Gamma iff eps(a) = 0 and X(a) = 0 for every basis X."""
+    if not a.counit().is_zero():
+        return False
+    deg = a.degree()
+    xtab = cal.x_values(deg)
+    for tab in xtab.values():
+        total = None
+        for w, c in a.terms.items():
+            v = tab.get(w)
+            if v is None:
+                continue
+            t = c * v
+            total = t if total is None else total + t
+        if total is not None and not total.is_zero():
+            return False
+    return True
+
+
+# -- R-matrix oracles --------------------------------------------------------
+
+def check_braid_relation(r):
+    """(Rhat x 1)(1 x Rhat)(Rhat x 1) = (1 x Rhat)(Rhat x 1)(1 x Rhat)."""
+    N = r.N
+    rh_entries = {}
+    for (i, n, j, m), v in r.entries.items():
+        rh_entries[(n, i, j, m)] = v
+    a = rmat._leg_matrix(rh_entries, N, (0, 1))
+    b = rmat._leg_matrix(rh_entries, N, (1, 2))
+    lhs = linalg.mat_mul(linalg.mat_mul(a, b), a)
+    rhs = linalg.mat_mul(linalg.mat_mul(b, a), b)
+    return linalg.mat_eq(lhs, rhs)
+
+
+def check_inverse(r):
+    """R R^{-1} = 1 on the pair labels."""
+    prod = linalg.mat_mul(rmat._as_matrix(r.entries), rmat._as_matrix(r.inverse_entries))
+    return linalg.mat_is_identity(prod, r.pair_labels())

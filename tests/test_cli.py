@@ -317,6 +317,26 @@ def test_degree_below_range_is_config_error(argv, capsys):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("build", "--series", "sl", "--n", "99999999", "--corep", "u"),
+    ("build", "--series", "sp", "--n", "99999999", "--corep", "u"),
+    ("classify", "--series", "sl", "--n", "2", "--corep", "u", "--frame-bound", "-1"),
+])
+def test_out_of_range_size_or_frame_bound_is_config_error(argv, capsys):
+    # refused before the R-matrix of a huge N is built
+    start = time.perf_counter()
+    assert cli.main(list(argv)) == 3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_frame_bound_zero_is_valid(capsys):
+    # an empty component library leaves a residual: a failure, not a usage error
+    rc = cli.main(["classify", "--series", "sl", "--n", "2", "--corep", "u",
+                   "--frame-bound", "0"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["residual_rank"] > 0
+
+
 def test_build_rejects_degree(capsys):
     # only verify and classify have a certification degree to set
     rc = cli.main(["build", "--series", "sl", "--n", "2", "--corep", "u",

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from qfodc.scalar import (
     FieldConfig,
+    MAX_N,
     MINUS_ONE,
     ONE,
     Scalar,
@@ -13,6 +14,7 @@ from qfodc.scalar import (
     parse_scalar,
 )
 
+from oracles import cartan
 from strategies import from_fraction, scalars
 
 P = Scalar.p_power
@@ -152,7 +154,7 @@ def test_config_c_series():
     assert cfg.q == P(1)
     assert cfg.z == ONE and cfg.z * cfg.z == ONE
     assert FieldConfig.sp(1, z_choice=-1).z == MINUS_ONE
-    assert cfg.cartan() == [[2, -2], [-1, 2]]
+    assert cartan(cfg) == [[2, -2], [-1, 2]]
 
 
 def test_config_rejects_bad_input():
@@ -164,6 +166,14 @@ def test_config_rejects_bad_input():
         FieldConfig("B", 3, 3)
     with pytest.raises(UnsupportedConfigError):
         FieldConfig("C", 2, 1, z_choice=2)
+    with pytest.raises(UnsupportedConfigError):
+        FieldConfig.sl(MAX_N + 1)
+    with pytest.raises(UnsupportedConfigError):
+        FieldConfig.sp(MAX_N // 2 + 1)
+
+
+def test_config_accepts_the_largest_size():
+    assert FieldConfig.sl(MAX_N).N == FieldConfig.sp(MAX_N // 2).N == MAX_N
 
 
 # -- memoised operations ------------------------------------------------------
