@@ -111,7 +111,12 @@ def parse_zeta(config, text):
         return admissible_zeta(config, 4, 3)
     if t.startswith("w"):
         rest = t[1:].lstrip("^")
-        power = int(rest) if rest else 1
+        try:
+            power = int(rest) if rest else 1
+        except ValueError:
+            raise InvalidCharacterError(
+                f"zeta power must be an integer, got {rest!r}"
+            ) from None
         return admissible_zeta(config, order, power)
     raise InvalidCharacterError(f"cannot parse character {text!r}")
 
@@ -266,6 +271,8 @@ def main(argv=None):
         if args.out:
             check_out(args.out)
         config = field_config(args)
+        if getattr(args, "degree", None) is not None:
+            dual.check_word_count(config.N, args.degree)
         ws = Workspace(config, args.d_max)
         zeta = None if args.zeta is None else parse_zeta(config, args.zeta)
         return COMMANDS[args.command](args, ws, zeta)

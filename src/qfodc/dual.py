@@ -50,6 +50,30 @@ D_MAX = 6
 SEPARATION_LENGTH = 3
 CHECK_DEGREE = START_DEGREE + 1
 
+# The most words of degree <= d on the N^2 generators, sum_{t <= d} N^(2t),
+# that an explicit degree may span; checked where the degree enters, before
+# any work.  The largest use in the CLI's tests, CI and benchmark is Sp_q(6)
+# minor-tau at degree 4, 1,727,605 words.  The bound refuses the degrees that
+# their word count alone rules out, not every slow one: on SL_q(2), `verify
+# --claim coideal` takes 5 s of process time at degree 10 (1.4 million
+# words), but `verify --claim factorizability` takes 2.1 s at degree 4, 45 s
+# at degree 5 and had not finished after 200 s at degree 6 (2-CPU x86-64
+# Linux host, Python 3.11).
+MAX_WORDS = 2_000_000
+
+
+def check_word_count(N, degree):
+    """Raise UnsupportedConfigError if the words of degree <= degree
+    outnumber MAX_WORDS."""
+    count = layer = 1
+    for _ in range(degree):
+        layer *= N * N
+        count += layer
+        if count > MAX_WORDS:
+            raise UnsupportedConfigError(
+                f"degree {degree} spans more than {MAX_WORDS} words on N = {N}"
+            )
+
 
 def positive_or_default(value, default, name):
     """value, or default when value is None; a value below 1 is a ValueError."""
@@ -683,7 +707,13 @@ class Workspace:
         if desc == "uc":
             cor = coordalg.contragredient(self.corep("u"), self.antipode_table())
         elif desc.startswith("minor:"):
-            k = int(desc.split(":", 1)[1])
+            field = desc.split(":", 1)[1]
+            try:
+                k = int(field)
+            except ValueError:
+                raise coordalg.InvalidDegreeError(
+                    f"minor degree must be an integer, got {field!r}"
+                ) from None
             if not 1 <= k <= self.config.rank:
                 raise coordalg.InvalidDegreeError(
                     f"minor degree {k} out of range 1..{self.config.rank}"
@@ -717,20 +747,34 @@ class Workspace:
 
     def _check_comatrix(self, cor):
         """Raise NotInvariantError unless Delta(v^i_j) = sum_k v^i_k (x) v^k_j
-        for every entry.
+        for every entry, decided under the separating family.
 
-        The defect of each entry is a sum of c w1 (x) w2.  Each entry (r, c)
-        of each separating representation m applied to the second leg leaves
-        the first-leg element sum c m(w2)[r, c] w1, which must vanish under
-        separated_equal.  Since the entries of m1(w1) (x) m(w2) factor, this
-        decides the same as separating both legs at once.
+        Write D_ij = Delta(v^i_j) - sum_k v^i_k (x) v^k_j, a sum of
+        c w1 (x) w2, and V_m = [m(v^i_j)] for a separating representation
+        m.  Since (m1 (x) m2) Delta = m1 * m2 on the free algebra, the
+        condition (m1 (x) m2)(D_ij) = 0 for all i, j reads
+        P(m1, m2): V_{m1*m2} = V_{m1} . V_{m2}, where . is the block product
+        with tensor-product entries.  The defining condition is P on every
+        pair with |m1|, |m2| <= 2.  Convolution is associative (the free
+        coproduct is coassociative) and so is ., so that set is equivalent to
+        {m1 a letter eps, L+ or L-, |m2| <= SEPARATION_LENGTH = 3}:
+        P(a*b, m2) for letters a, b follows from P(a, b*m2), P(b, m2) and
+        P(a, b), as V_{a*b*m2} = V_a . V_{b*m2} = V_a . V_b . V_{m2} =
+        V_{a*b} . V_{m2}; conversely P(a, b*c) with |c| = 2 follows from
+        P(a*b, c), P(a, b) and P(b, c) the same way.  The mirrored set
+        (|m1| <= 3, m2 a letter) is equivalent too.
 
-        separated_equal is linear, so a leg that is c times a leg already
-        separated (c != 0) has the same verdict and is skipped.  The legs
-        are grouped by support and compared within a group by
-        _proportional; the groups live for this call only."""
-        zero = CoordElem()
-        separated = {}
+        So each entry (r, c) of each letter m is applied to one leg of every
+        D_ij, leaving the element sum c m(w)[r, c] w' of the other leg.  If
+        every such leg is exactly zero on the first side, or else on the
+        second, the identity holds.  Otherwise the first side's nonzero legs
+        must vanish under separated_equal at SEPARATION_LENGTH.  The side is
+        chosen once for all entries, since the proof sums over k across
+        them.  separated_equal is linear, so a leg that is c times a leg
+        already separated (c != 0) has the same verdict and is skipped: the
+        legs are grouped by support and compared within a group by
+        _proportional."""
+        defects = []
         for i in range(cor.dim):
             for j in range(cor.dim):
                 defect = coordalg.coproduct(cor.entries[i][j], self.N)
@@ -739,27 +783,23 @@ class Workspace:
                         for w2, c2 in cor.entries[k][j].terms.items():
                             defect[(w1, w2)] = defect.get((w1, w2), ZERO) - c1 * c2
                 defect = {key: c for key, c in defect.items() if not c.is_zero()}
-                if not defect:
-                    continue
-                for _, rep in self.separating_reps(2):
-                    legs = {}
-                    for (w1, w2), c in defect.items():
-                        for r, row in rep.word_matrix(w2).items():
-                            for col, v in row.items():
-                                leg = legs.setdefault((r, col), {})
-                                leg[w1] = leg.get(w1, ZERO) + c * v
-                    for leg in legs.values():
-                        leg = {w: c for w, c in leg.items() if not c.is_zero()}
-                        if not leg:
-                            continue
-                        group = separated.setdefault(frozenset(leg), [])
-                        if any(_proportional(leg, done) for done in group):
-                            continue
-                        if not self.separated_equal(CoordElem(leg), zero, 2)[0]:
-                            raise coordalg.NotInvariantError(
-                                f"entry ({i},{j}) of {cor.label} fails the comatrix check"
-                            )
-                        group.append(leg)
+                if defect:
+                    defects.append((i, j, defect))
+        letters = [rep for _, rep in self.separating_reps(1)]
+        for side in (0, 1):
+            if not any(_letter_legs(defects, letters, side)):
+                return
+        zero = CoordElem()
+        separated = {}
+        for i, j, leg in _letter_legs(defects, letters, 0):
+            group = separated.setdefault(frozenset(leg), [])
+            if any(_proportional(leg, done) for done in group):
+                continue
+            if not self.separated_equal(CoordElem(leg), zero)[0]:
+                raise coordalg.NotInvariantError(
+                    f"entry ({i},{j}) of {cor.label} fails the comatrix check"
+                )
+            group.append(leg)
 
     def tensor_power_corep(self, k):
         if k == 0:
@@ -1038,6 +1078,26 @@ def _tensor_position_map(N, k):
     for pos, multi in enumerate(product(range(1, N + 1), repeat=k)):
         out[multi] = pos + 1
     return out
+
+
+def _letter_legs(defects, letters, side):
+    """Yield (i, j, leg) for every nonzero leg that an entry (r, c) of a
+    letter representation leaves when applied to tensor leg `side` (0 or 1)
+    of a defect D_ij = sum c (w1, w2): the {word: scalar} map of
+    sum c m(w_side)[r, c] w_other."""
+    for i, j, defect in defects:
+        for rep in letters:
+            legs = {}
+            for words, c in defect.items():
+                w = words[1 - side]
+                for r, row in rep.word_matrix(words[side]).items():
+                    for col, v in row.items():
+                        leg = legs.setdefault((r, col), {})
+                        leg[w] = leg.get(w, ZERO) + c * v
+            for leg in legs.values():
+                leg = {w: c for w, c in leg.items() if not c.is_zero()}
+                if leg:
+                    yield i, j, leg
 
 
 def _proportional(a, b):

@@ -3,12 +3,14 @@
 Each is a plain function over the package's objects: direct evaluation of a
 functional word by word, the convolution inverse of the r-form, the antipode
 of an element, distinguished functionals, the adjoint action, right-ideal
-membership and two R-matrix oracles.  Nothing in src/qfodc calls them; the
-tests compare the package's results against them.
+membership, the pairwise comatrix check and two R-matrix oracles.  Nothing
+in src/qfodc calls them; the tests compare the package's results against
+them.
 """
 
 from qfodc import coordalg, linalg, rmat
-from qfodc.dual import Functional, antipode_rep, conv, nested_label
+from qfodc.coordalg import CoordElem
+from qfodc.dual import Functional, _proportional, antipode_rep, conv, nested_label
 from qfodc.scalar import ONE, ZERO
 
 
@@ -141,6 +143,42 @@ def right_ideal_member(cal, a):
             total = t if total is None else total + t
         if total is not None and not total.is_zero():
             return False
+    return True
+
+
+# -- corepresentations --------------------------------------------------------
+
+def comatrix_holds(ws, cor):
+    """Delta(v^i_j) = sum_k v^i_k (x) v^k_j for every entry, decided on
+    every pair of separating representations of length <= 2: each one is
+    applied to the second leg of the defect, and every first-leg element
+    it leaves must vanish under separated_equal at length 2.  A leg that is
+    c times a leg already separated in its support group is skipped."""
+    separated = {}
+    for i in range(cor.dim):
+        for j in range(cor.dim):
+            defect = coordalg.coproduct(cor.entries[i][j], ws.N)
+            for k in range(cor.dim):
+                for w1, c1 in cor.entries[i][k].terms.items():
+                    for w2, c2 in cor.entries[k][j].terms.items():
+                        defect[(w1, w2)] = defect.get((w1, w2), ZERO) - c1 * c2
+            for _, rep in ws.separating_reps(2):
+                legs = {}
+                for (w1, w2), c in defect.items():
+                    for r, row in rep.word_matrix(w2).items():
+                        for col, v in row.items():
+                            leg = legs.setdefault((r, col), {})
+                            leg[w1] = leg.get(w1, ZERO) + c * v
+                for leg in legs.values():
+                    leg = {w: c for w, c in leg.items() if not c.is_zero()}
+                    if not leg:
+                        continue
+                    group = separated.setdefault(frozenset(leg), [])
+                    if any(_proportional(leg, done) for done in group):
+                        continue
+                    if not ws.separated_equal(CoordElem(leg), CoordElem(), 2)[0]:
+                        return False
+                    group.append(leg)
     return True
 
 

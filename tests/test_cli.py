@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qfodc import cli, coordalg, dual, fodc, rmat
 from qfodc.coordalg import YoungWeight
 from qfodc.cyclotomic import Zeta
-from qfodc.scalar import FieldConfig, Scalar
+from qfodc.scalar import FieldConfig, Scalar, UnsupportedConfigError
 
 
 def run(capsys, *argv):
@@ -327,6 +327,43 @@ def test_out_of_range_size_or_frame_bound_is_config_error(argv, capsys):
     start = time.perf_counter()
     assert cli.main(list(argv)) == 3
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --series sl --n 2 --claim coideal --degree 99",
+    "verify --series sl --n 2 --claim centrality --degree 99",
+    "verify --series sl --n 2 --claim central-generates --degree 99",
+    "verify --series sl --n 2 --claim factorizability --degree 99",
+    "classify --series sl --n 2 --corep u --degree 99",
+    "classify --series sl --n 2 --central u --degree 99",
+])
+def test_degree_beyond_the_word_bound_is_config_error(argv, capsys):
+    # sum_{t <= 99} 4^t words: refused before any work
+    start = time.perf_counter()
+    assert cli.main(argv.split()) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "words" in captured.err
+
+
+def test_word_bound_admits_the_largest_degree_in_use():
+    # Sp_q(6) minor-tau at degree 4 (CI) spans 1,727,605 words
+    dual.check_word_count(6, 4)
+    with pytest.raises(UnsupportedConfigError):
+        dual.check_word_count(6, 5)
+    dual.check_word_count(2, 10)
+    with pytest.raises(UnsupportedConfigError):
+        dual.check_word_count(2, 11)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("build --series sl --n 3 --corep minor:x", "minor degree must be an integer, got 'x'"),
+    ("build --series sl --n 3 --zeta=wx", "zeta power must be an integer, got 'x'"),
+])
+def test_non_integer_field_is_named(argv, message, capsys):
+    assert cli.main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_frame_bound_zero_is_valid(capsys):
