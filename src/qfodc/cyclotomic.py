@@ -130,13 +130,17 @@ class CycElem:
             self._complexity = c
         return c
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """other as an operand: a CycElem of this ring, or a Scalar as it is.
+        A rational CycElem equals and hashes like its Scalar, so the memo
+        keys (self, s) and (self, lift(s)) are one key; s is lifted only by
+        a miss in _add and by s - self."""
         if isinstance(other, CycElem):
             if other.ring is not self.ring:
                 raise TypeError("mixed cyclotomic rings")
             return other
         if isinstance(other, Scalar):
-            return self.ring.lift(other)
+            return other
         return None
 
     def _plus(self, o):
@@ -147,6 +151,8 @@ class CycElem:
 
     def _add(self, o, sign):
         ring = self.ring
+        if isinstance(o, Scalar):
+            o = ring.lift(o)
         da, db = self.den, o.den
         if da == db:
             op = _padd if sign > 0 else _psub
@@ -166,7 +172,7 @@ class CycElem:
         return _normalized(ring, nums, _pmul(da, db))
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return _memo(_ADD, CycElem._plus, self, o)
@@ -174,27 +180,31 @@ class CycElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return _memo(_SUB, CycElem._minus, self, o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
+        if isinstance(o, Scalar):  # rare; the key's first operand stays a CycElem
+            o = self.ring.lift(o)
         return _memo(_SUB, CycElem._minus, o, self)
 
     def __neg__(self):
         return CycElem(self.ring, tuple(_pneg(n) for n in self.nums), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return _memo(_MUL, CycElem._mul, self, o)
 
     def _mul(self, o):
+        if isinstance(o, Scalar):
+            return self._scaled(o.num, o.den)
         if not any(o.nums[1:]):
             return self._scaled(o.nums[0], o.den)
         if not any(self.nums[1:]):
@@ -271,7 +281,7 @@ class CycElem:
         return c._scaled(self.den, _UNIT)._scaled(inv.num, inv.den)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()

@@ -58,20 +58,21 @@ CHECK_DEGREE = START_DEGREE + 1
 # --claim coideal` takes 5 s of process time at degree 10 (1.4 million
 # words), but `verify --claim factorizability` takes 2.1 s at degree 4, 45 s
 # at degree 5 and had not finished after 200 s at degree 6 (2-CPU x86-64
-# Linux host, Python 3.11).
+# Linux host, Python 3.11), so that claim checks a smaller bound of its own
+# (fodc.MAX_GRAM_WORDS).
 MAX_WORDS = 2_000_000
 
 
-def check_word_count(N, degree):
+def check_word_count(N, degree, limit=MAX_WORDS):
     """Raise UnsupportedConfigError if the words of degree <= degree
-    outnumber MAX_WORDS."""
+    outnumber limit."""
     count = layer = 1
     for _ in range(degree):
         layer *= N * N
         count += layer
-        if count > MAX_WORDS:
+        if count > limit:
             raise UnsupportedConfigError(
-                f"degree {degree} spans more than {MAX_WORDS} words on N = {N}"
+                f"degree {degree} spans more than {limit} words on N = {N}"
             )
 
 

@@ -514,9 +514,18 @@ def verify_leibniz(ws, zeta=TRIVIAL, corep="u"):
     return True, {"pairs": checked, "zeta": str(zeta)}
 
 
+# The most words of degree <= degree that the factorizability Gram may span:
+# it is eliminated exactly, #words x #words.  Wall times on a 2-CPU x86-64
+# Linux host, Python 3.11: 341 words (SL_q(2), degree 4) 1.5 s, 651 (SL_q(5),
+# degree 2) 8.9 s, 820 (SL_q(3), degree 3) over 60 s, 1,365 (SL_q(2),
+# degree 5) 37.7 s.
+MAX_GRAM_WORDS = 700
+
+
 def verify_factorizability(ws, degree=None):
     """The q-form Gram matrix on words of degree <= degree has Peter-Weyl rank."""
     degree = dual.positive_or_default(degree, 2, "degree")
+    dual.check_word_count(ws.N, degree, MAX_GRAM_WORDS)
     # row b holds q(a (x) b) = l(b)(a) over the words a: the transpose of
     # the Gram matrix, read through the one word kernel
     gram = dual.word_values(

@@ -232,10 +232,11 @@ def _reduce(num, den):
 # interned by (class, value), so that equal operands are mostly one object and
 # a lookup seldom compares them (hash-consing).  Results are shared between
 # callers, so nothing may mutate the num/den dicts (or a CycElem's nums) of an
-# operand or a result.  Each class has its own tables, keyed on operands of
-# that class: a rational CycElem equals its Scalar and hashes like it, so one
-# shared table could answer a Scalar product with a CycElem.  A hit only saves
-# time; the result never depends on it.
+# operand or a result.  Each class has its own tables, keyed on a first
+# operand of that class: a rational CycElem equals its Scalar and hashes like
+# it, so one shared table could answer a Scalar product with a CycElem.  The
+# same equality lets a CycElem table take a Scalar second operand as it is.
+# A hit only saves time; the result never depends on it.
 
 MEMO_CAP = 1 << 16  # entries per table; a table that reaches it is emptied
 MEMOS = []  # (table, uncached helper) for every memoised operation

@@ -336,6 +336,9 @@ def test_out_of_range_size_or_frame_bound_is_config_error(argv, capsys):
     "verify --series sl --n 2 --claim factorizability --degree 99",
     "classify --series sl --n 2 --corep u --degree 99",
     "classify --series sl --n 2 --central u --degree 99",
+    # 820 and 1,365 words, over fodc.MAX_GRAM_WORDS: refused before any row
+    "verify --series sl --n 3 --claim factorizability --degree 3",
+    "verify --series sl --n 2 --claim factorizability --degree 5",
 ])
 def test_degree_beyond_the_word_bound_is_config_error(argv, capsys):
     # sum_{t <= 99} 4^t words: refused before any work
@@ -354,6 +357,14 @@ def test_word_bound_admits_the_largest_degree_in_use():
     dual.check_word_count(2, 10)
     with pytest.raises(UnsupportedConfigError):
         dual.check_word_count(2, 11)
+
+
+def test_gram_bound_admits_sl2_at_degree_4(capsys):
+    # 341 words, the largest SL_q(2) degree under the bound
+    rc, out = run(capsys, "verify", "--series", "sl", "--n", "2",
+                  "--claim", "factorizability", "--degree", "4")
+    report = json.loads(out)
+    assert rc == 0 and report["rank"] == report["peter_weyl_oracle"] == 55
 
 
 @pytest.mark.parametrize("argv, message", [

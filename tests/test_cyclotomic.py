@@ -16,7 +16,7 @@ from qfodc.cyclotomic import (
 )
 from qfodc.scalar import FieldConfig, ONE, Scalar, ZERO
 
-from strategies import cyc_coeffs, cyc_elems, from_coeffs, scalars
+from strategies import cyc_coeffs, cyc_elems, from_coeffs, from_fraction, scalars
 
 
 def test_cyclotomic_coeffs():
@@ -348,6 +348,65 @@ def test_memo_changes_no_result(case):
         assert memo == plain
 
 
+MIXED = {
+    "c+s": lambda c, s: c + s,
+    "s+c": lambda c, s: s + c,
+    "c-s": lambda c, s: c - s,
+    "s-c": lambda c, s: s - c,
+    "c*s": lambda c, s: c * s,
+    "s*c": lambda c, s: s * c,
+}
+
+
+def _mixed_scalars():
+    """Scalar operands: ZERO, ONE, integer and polynomial denominators."""
+    return st.sampled_from([ZERO, ONE, from_fraction(-2, 3)]) | scalars()
+
+
+@settings(deadline=None, max_examples=60)
+@given(ORDERS.flatmap(lambda n: st.tuples(
+    cyc_elems(n), st.lists(_mixed_scalars(), min_size=1, max_size=3))))
+def test_a_scalar_operand_acts_as_its_lift(case):
+    """c op s, keyed on the Scalar s as it is, is the uncached c op lift(s):
+    the same class, the same canonical dicts and the same hash."""
+    c, ss = case
+    ring = c.ring
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclotomic, "_memo", _direct)
+        want = {(name, i): op(c, ring.lift(s))
+                for name, op in MIXED.items() for i, s in enumerate(ss)}
+    scalar.clear_memos()
+    for _ in range(2):  # cold tables, then warm ones
+        for (name, i), w in want.items():
+            got = MIXED[name](c, ss[i])
+            assert type(got) is CycElem, name
+            assert got.nums == w.nums and got.den == w.den, name
+            assert hash(got) == hash(w), name
+
+
+def test_a_repeated_mixed_operation_lifts_nothing(monkeypatch):
+    lifts = []
+    lift = CycRing.lift
+
+    def counted(self, s):
+        lifts.append(s)
+        return lift(self, s)
+
+    monkeypatch.setattr(CycRing, "lift", counted)
+    ring = CycRing(3)
+    c = from_coeffs(ring, [Scalar({1: 2}, {0: 1, 1: 1}), Scalar.p_power(-1)])
+    s = Scalar({0: 3, 2: -1}, {0: 2, 1: 1})
+    scalar.clear_memos()
+    assert c * s == s * c
+    assert not lifts  # a product scales c by s, even on a miss
+    for name, op in MIXED.items():
+        if name != "s-c":  # s - c lifts s: its key's first operand is c's class
+            op(c, s)
+            lifts.clear()
+            op(c, s)
+            assert not lifts, name
+
+
 def _fresh(x):
     """A copy of x that shares no dict with it."""
     if isinstance(x, Scalar):
@@ -358,6 +417,7 @@ def _fresh(x):
 @pytest.mark.parametrize("argv", [
     "verify --series sl --n 3 --claim minor-tau --degree 3",
     "build --series sl --n 3 --corep u --zeta=w",
+    "verify --series sl --n 3 --claim coideal --zeta=w",
 ])
 def test_memo_entries_are_what_their_keys_compute(argv, capsys):
     """Every entry a run leaves is its key's uncached result, and every key
@@ -379,3 +439,5 @@ def test_memo_entries_are_what_their_keys_compute(argv, capsys):
         counts.append(len(table))
     assert all(counts[:3])  # the Scalar tables
     assert any(counts[3:]) == ("--zeta=w" in argv)
+    if "coideal" in argv:  # a Scalar operand is keyed as it is
+        assert any(isinstance(b, Scalar) for table, _ in scalar.MEMOS[3:] for a, b in table)
