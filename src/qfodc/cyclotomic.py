@@ -13,9 +13,8 @@ from __future__ import annotations
 from math import gcd as _igcd
 
 from .scalar import (
-    ONE, Scalar, _memo, _memo_table, _padd, _pcontent, _pmul, _pneg,
-    _poly_exact_div, _poly_gcd, _pscale, _pshift, _psub, _pval, _to_dense,
-    _to_dict,
+    ONE, Scalar, _UNIT, _addmul_into, _cancel, _memo, _memo_table, _pmul,
+    _pneg, _poly_exact_div, _scale, _sum, _to_dense, _to_dict,
 )
 
 
@@ -77,9 +76,6 @@ class CycRing:
         return f"CycRing({self.order})"
 
 
-_UNIT = {0: 1}
-
-
 class CycElem:
     """Element of a CycRing: sum_i nums[i] x^i / den for i < degree.
 
@@ -95,7 +91,7 @@ class CycElem:
     __slots__ = ("ring", "nums", "den", "_hash", "_complexity")
 
     def __init__(self, ring, nums, den):
-        """nums and den must already be canonical; see _normalized."""
+        """nums and den must already be canonical; see scalar._cancel."""
         self.ring = ring
         self.nums = nums
         self.den = den
@@ -150,26 +146,10 @@ class CycElem:
         return self._add(o, -1)
 
     def _add(self, o, sign):
-        ring = self.ring
         if isinstance(o, Scalar):
-            o = ring.lift(o)
-        da, db = self.den, o.den
-        if da == db:
-            op = _padd if sign > 0 else _psub
-            nums = [op(a, b) for a, b in zip(self.nums, o.nums)]
-            if da == _UNIT:
-                return CycElem(ring, tuple(nums), _UNIT)
-            return _normalized(ring, nums, da)
-        if db == _UNIT:
-            # a/da + b = (a + b da)/da, and gcd(da, a + b da) = gcd(da, a) = 1
-            nums = [_addmul(a, b, da, sign) for a, b in zip(self.nums, o.nums)]
-            return CycElem(ring, tuple(nums), da)
-        if da == _UNIT:
-            nums = [_addmul(_pscale(b, sign), a, db, 1)
-                    for a, b in zip(self.nums, o.nums)]
-            return CycElem(ring, tuple(nums), db)
-        nums = [_addmul(_pmul(a, db), b, da, sign) for a, b in zip(self.nums, o.nums)]
-        return _normalized(ring, nums, _pmul(da, db))
+            o = self.ring.lift(o)
+        den, nums = _sum(self.den, self.nums, o.den, o.nums, sign)
+        return CycElem(self.ring, tuple(nums), den)
 
     def __add__(self, other):
         o = self._operand(other)
@@ -223,35 +203,19 @@ class CycElem:
                 for i, r in enumerate(ring._reduction[k]):
                     if r:
                         _addmul_into(prod[i], top, _UNIT, r)
-        nums = prod[:d]
         da, db = self.den, o.den
-        if db == _UNIT:
-            if da == _UNIT:
-                return CycElem(ring, tuple(nums), _UNIT)
-            return _normalized(ring, nums, da)
-        return _normalized(ring, nums, db if da == _UNIT else _pmul(da, db))
+        den = db if da == _UNIT else da if db == _UNIT else _pmul(da, db)
+        den, nums = _cancel(den, prod[:d])
+        return CycElem(ring, tuple(nums), den)
 
     __rmul__ = __mul__
 
     def _scaled(self, n, d):
-        """self * n/d for a canonical fraction n/d.  Cancelling n against
-        self.den and d against self.nums leaves the product canonical: a
-        prime factor of either denominator divides neither n nor every
-        numerator."""
+        """self * n/d for a canonical fraction n/d."""
         if not n or self.is_zero():
             return self.ring.zero
-        den, nums = self.den, self.nums
-        if den != _UNIT:
-            den, (n,) = _cancel(den, [n])
-        if d != _UNIT:
-            d, nums = _cancel(d, nums)
-            den = d if den == _UNIT else _pmul(den, d)
-        if len(n) == 1:  # a monomial c p^e: shift and scale
-            (e, c), = n.items()
-            nums = tuple({k + e: v * c for k, v in a.items()} for a in nums)
-        else:
-            nums = tuple(_pmul(n, a) if a else a for a in nums)
-        return CycElem(self.ring, nums, den)
+        den, nums = _scale(self.den, self.nums, n, d)
+        return CycElem(self.ring, tuple(nums), den)
 
     def _conjugate(self, rows):
         """sigma_k(self), given the integer rows of sigma_k.  sigma_k is
@@ -326,63 +290,6 @@ class CycElem:
 _ADD = _memo_table(CycElem._plus)
 _SUB = _memo_table(CycElem._minus)
 _MUL = _memo_table(CycElem._mul)
-
-
-def _addmul_into(acc, a, b, k):
-    """acc += k * a * b for Laurent dicts, in place, dropping zeros."""
-    for ea, ca in a.items():
-        ca *= k
-        for eb, cb in b.items():
-            e = ea + eb
-            s = acc.get(e, 0) + ca * cb
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-
-
-def _addmul(a, b, c, sign):
-    """a + sign * b * c as a new Laurent dict."""
-    out = dict(a)
-    _addmul_into(out, b, c, sign)
-    return out
-
-
-def _normalized(ring, nums, den):
-    """The canonical element sum_i nums[i] x^i / den.  den must have a
-    nonzero constant term and a positive leading coefficient (products and
-    exact quotients of canonical denominators do)."""
-    if not any(nums):
-        return ring.zero
-    den, nums = _cancel(den, nums)
-    return CycElem(ring, tuple(nums), den)
-
-
-def _cancel(den, nums):
-    """(den, nums) divided by their greatest common divisor in Z[p]: one
-    integer content and one polynomial gcd against all numerators together."""
-    g = _pcontent(den)
-    for n in nums:
-        if g == 1:
-            break
-        if n:
-            g = _igcd(g, _pcontent(n))
-    if g > 1:
-        nums = [{e: c // g for e, c in n.items()} for n in nums]
-        den = {e: c // g for e, c in den.items()}
-    # den(0) != 0, so a monomial numerator is prime to den
-    if len(den) == 1 or any(len(n) == 1 for n in nums):
-        return den, nums
-    g = den
-    for n in nums:
-        if n:
-            g = _poly_gcd(_pshift(n, -_pval(n)), g)
-            if len(g) == 1:
-                return den, nums
-    den = _poly_exact_div(den, g)
-    nums = [_pshift(_poly_exact_div(_pshift(n, -_pval(n)), g), _pval(n))
-            if n else n for n in nums]
-    return den, nums
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,23 @@
 """Exact sparse linear algebra over Q(p) and its cyclotomic extensions.
 
 Rows and matrices are sparse dicts whose values are field elements (Scalar
-or CycElem); the code only relies on +, -, *, .inverse() and .is_zero(), so
-the same elimination routines serve both ground fields.  Elimination is
-forward only: `extend` is its one step, and no basis row is rewritten.
+or CycElem); the code only relies on +, -, *, .inverse(), .is_zero() and
+.complexity(), so the same elimination routines serve both ground fields.
+Elimination is forward only: `extend` is its one step, and no basis row is
+rewritten.
 Matrices are row-major dicts {row_label: {col_label: value}} with arbitrary
 hashable, mutually comparable labels.
 """
 
 from __future__ import annotations
 
-from .scalar import ONE, Scalar, ZERO
-
-
-def _weight(v):
-    """Crude size measure used to pick well-conditioned pivots."""
-    if isinstance(v, Scalar):
-        return len(v.num) + len(v.den)
-    return v.complexity()
+from .scalar import ONE, ZERO
 
 
 def _pivot(row):
-    """Pivot column of a nonzero row: its lightest entry, ties by column."""
-    return min(row, key=lambda c: (_weight(row[c]), c))
+    """Pivot column of a nonzero row: its lightest entry by .complexity(),
+    ties by column."""
+    return min(row, key=lambda c: (row[c].complexity(), c))
 
 
 def add_scaled(acc, coeff, row):
@@ -196,7 +191,7 @@ def mat_inverse(a, labels):
         for r in remaining:
             v = work[r].get(col)
             if v is not None and not v.is_zero():
-                w = _weight(v)
+                w = v.complexity()
                 if best is None or w < best:
                     best, piv = w, r
         if piv is None:

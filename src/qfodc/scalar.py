@@ -10,6 +10,14 @@ Internally num is a sparse Laurent polynomial (exponents may be negative)
 and den is an ordinary polynomial with nonzero constant term and positive
 leading coefficient, coprime to num.  Arithmetic is exact; there is no
 floating point anywhere.
+
+One fraction kernel computes that form for Scalar and for the cyclotomic
+CycElem, which keeps several numerators over one shared denominator:
+`_cancel` divides out integer content and the polynomial gcd, `_sum` adds
+two fractions and `_scale` multiplies by one.  The sum takes no gcd when a
+denominator is 1 (a/d + b = (a + b d)/d is canonical), and the product
+cancels crosswise before it multiplies (Henrici 1956; Knuth, TAOCP vol. 2,
+4.5.1), so only its smaller factors meet a gcd.
 """
 
 from __future__ import annotations
@@ -179,7 +187,96 @@ def _poly_exact_div(a, b):
     return _to_dict(out)
 
 
-_ONE_POLY = {0: 1}
+_UNIT = {0: 1}
+
+
+def _addmul_into(acc, a, b, k):
+    """acc += k * a * b for Laurent dicts, in place, dropping zeros."""
+    for ea, ca in a.items():
+        ca *= k
+        for eb, cb in b.items():
+            e = ea + eb
+            s = acc.get(e, 0) + ca * cb
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+
+
+def _addmul(a, b, c, sign):
+    """a + sign * b * c as a new Laurent dict."""
+    out = dict(a)
+    _addmul_into(out, b, c, sign)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the fraction kernel: Scalar holds one numerator over its denominator and
+# CycElem several over one shared denominator; both keep (den, nums) in one
+# canonical form and compute it only here
+# ---------------------------------------------------------------------------
+
+def _cancel(den, nums):
+    """(den, nums) divided by their greatest common divisor in Z[p]: one
+    integer content and one polynomial gcd against all numerators together.
+    den must have a nonzero constant term and a positive leading coefficient,
+    and some numerator must be nonzero."""
+    g = _pcontent(den)
+    for n in nums:
+        if g == 1:
+            break
+        if n:
+            g = _igcd(g, _pcontent(n))
+    if g > 1:
+        nums = [{e: c // g for e, c in n.items()} for n in nums]
+        den = {e: c // g for e, c in den.items()}
+    # den(0) != 0, so a monomial numerator is prime to den
+    if len(den) == 1 or any(len(n) == 1 for n in nums):
+        return den, nums
+    g = den
+    for n in nums:
+        if n:
+            g = _poly_gcd(_pshift(n, -_pval(n)), g)
+            if len(g) == 1:
+                return den, nums
+    den = _poly_exact_div(den, g)
+    nums = [_pshift(_poly_exact_div(_pshift(n, -_pval(n)), g), _pval(n))
+            if n else n for n in nums]
+    return den, nums
+
+
+def _sum(da, an, db, bn, sign):
+    """an/da + sign * bn/db for canonical fractions, numerators taken
+    pairwise, as a canonical (den, nums)."""
+    if da == db:
+        op = _padd if sign > 0 else _psub
+        nums = [op(a, b) for a, b in zip(an, bn)]
+        if da == _UNIT or not any(nums):
+            return _UNIT, nums
+        return _cancel(da, nums)
+    if db == _UNIT:
+        # a/da + b = (a + b da)/da, and gcd(da, a + b da) = gcd(da, a) = 1
+        return da, [_addmul(a, b, da, sign) for a, b in zip(an, bn)]
+    if da == _UNIT:
+        return db, [_addmul(_pscale(b, sign), a, db, 1) for a, b in zip(an, bn)]
+    return _cancel(_pmul(da, db),
+                   [_addmul(_pmul(a, db), b, da, sign) for a, b in zip(an, bn)])
+
+
+def _scale(den, nums, n, d):
+    """nums/den * n/d for canonical fractions, n and some numerator nonzero,
+    as a canonical (den, nums).  Cancelling n against den and d against nums
+    leaves the product canonical: a prime factor of either denominator
+    divides neither n nor every numerator."""
+    if den != _UNIT:
+        den, (n,) = _cancel(den, [n])
+    if d != _UNIT:
+        d, nums = _cancel(d, nums)
+        den = d if den == _UNIT else _pmul(den, d)
+    if len(n) == 1:  # a monomial c p^e: shift and scale
+        (e, c), = n.items()
+        return den, [{k + e: v * c for k, v in a.items()} for a in nums]
+    return den, [_pmul(n, a) if a else a for a in nums]
 
 
 def _reduce(num, den):
@@ -189,37 +286,16 @@ def _reduce(num, den):
     if not den:
         raise ZeroDivisionError("scalar with zero denominator")
     if not num:
-        return {}, {0: 1}
+        return {}, _UNIT
     # move all p powers into num: den becomes a poly with den(0) != 0
     dv = _pval(den)
     if dv:
         den = _pshift(den, -dv)
         num = _pshift(num, -dv)
-    if len(den) == 1:
-        d0 = den[0]
-        if d0 < 0:
-            d0 = -d0
-            num = _pneg(num)
-        if d0 != 1:
-            g = _igcd(_pcontent(num), d0)
-            if g > 1:
-                num = {e: c // g for e, c in num.items()}
-                d0 //= g
-        return num, {0: d0}
-    # general fraction: integer content, then polynomial gcd
-    cn, cd = _pcontent(num), _pcontent(den)
-    g = _igcd(cn, cd)
-    if g > 1:
-        num = {e: c // g for e, c in num.items()}
-        den = {e: c // g for e, c in den.items()}
-    nv = _pval(num)
-    g = _poly_gcd(_pshift(num, -nv), den)
-    if len(g) > 1 or g.get(0, 1) != 1:
-        den = _poly_exact_div(den, g)
-        num = _pshift(_poly_exact_div(_pshift(num, -nv), g), nv)
     if den[_pdeg(den)] < 0:
         den = _pneg(den)
         num = _pneg(num)
+    den, (num,) = _cancel(den, [num])
     return num, den
 
 
@@ -306,7 +382,11 @@ class Scalar:
         return not self.num
 
     def is_one(self):
-        return self.num == {0: 1} and self.den == {0: 1}
+        return self.num == _UNIT and self.den == _UNIT
+
+    def complexity(self):
+        """Number of terms of num and den (pivot weight in linalg)."""
+        return len(self.num) + len(self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -315,14 +395,9 @@ class Scalar:
             return NotImplemented
         return _memo(_ADD, Scalar._add, self, other)
 
-    def _add(self, other):
-        if self.den == other.den:
-            num = _padd(self.num, other.num)
-            if self.den == {0: 1}:
-                return Scalar(num, {0: 1}, _canonical=True)
-            return Scalar(num, dict(self.den))
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Scalar(num, _pmul(self.den, other.den))
+    def _add(self, other, sign=1):
+        den, (num,) = _sum(self.den, (self.num,), other.den, (other.num,), sign)
+        return Scalar(num, den, _canonical=True)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -330,13 +405,7 @@ class Scalar:
         return _memo(_SUB, Scalar._sub, self, other)
 
     def _sub(self, other):
-        if self.den == other.den:
-            num = _psub(self.num, other.num)
-            if self.den == {0: 1}:
-                return Scalar(num, {0: 1}, _canonical=True)
-            return Scalar(num, dict(self.den))
-        num = _psub(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Scalar(num, _pmul(self.den, other.den))
+        return self._add(other, -1)
 
     def __neg__(self):
         return Scalar(_pneg(self.num), dict(self.den), _canonical=True)
@@ -349,14 +418,13 @@ class Scalar:
     def _mul(self, other):
         if not self.num or not other.num:
             return ZERO
-        if self.den == {0: 1} and other.den == {0: 1}:
-            return Scalar(_pmul(self.num, other.num), {0: 1}, _canonical=True)
-        # a canonical factor 1 leaves the other one canonical: no gcd
+        # a canonical factor 1 leaves the other one as it is
         if self.is_one():
             return other
         if other.is_one():
             return self
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        den, (num,) = _scale(self.den, (self.num,), other.num, other.den)
+        return Scalar(num, den, _canonical=True)
 
     def inverse(self):
         if not self.num:

@@ -2,8 +2,8 @@
 
 from hypothesis import strategies as st
 
-from qfodc.cyclotomic import CycElem, CycRing, _normalized
-from qfodc.scalar import Scalar, ZERO, _pmul
+from qfodc.cyclotomic import CycElem, CycRing
+from qfodc.scalar import Scalar, ZERO, _cancel, _pmul
 
 _UNIT = {0: 1}
 
@@ -34,7 +34,8 @@ def from_coeffs(ring, coeffs):
     den = dens[0]
     for d in dens[1:]:
         den = _pmul(den, d)
-    return _normalized(ring, nums, den)
+    den, nums = _cancel(den, nums)
+    return CycElem(ring, tuple(nums), den)
 
 
 def _polys(min_exp, max_exp):

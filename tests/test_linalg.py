@@ -38,7 +38,7 @@ def reduced_echelon(rows):
         r = linalg.reduce_row(row, basis)
         if not r:
             continue
-        pc = min(r, key=lambda c: (linalg._weight(r[c]), c))
+        pc = linalg._pivot(r)
         inv = r[pc].inverse()
         r = {c: inv * v for c, v in r.items()}
         for i, (opc, orow) in enumerate(basis):

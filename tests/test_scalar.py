@@ -1,8 +1,11 @@
+import operator
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qfodc.cyclotomic import CycRing, cyclotomic_coeffs
 from qfodc.scalar import (
     FieldConfig,
     MAX_N,
@@ -11,11 +14,13 @@ from qfodc.scalar import (
     Scalar,
     UnsupportedConfigError,
     ZERO,
+    _pmul,
+    _to_dict,
     parse_scalar,
 )
 
 from oracles import cartan
-from strategies import from_fraction, scalars
+from strategies import from_coeffs, from_fraction, scalars
 
 P = Scalar.p_power
 
@@ -130,6 +135,92 @@ def test_one_times_a_fraction_takes_no_gcd(monkeypatch):
 
     monkeypatch.setattr(scalar, "_poly_gcd", no_gcd)
     assert ONE * f == f * ONE == f
+
+
+def test_a_sum_with_an_integral_operand_takes_no_gcd(monkeypatch):
+    # a/d + b = (a + b d)/d is canonical when a/d is and b has denominator 1
+    from qfodc import scalar
+
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd taken")
+
+    f = Scalar({0: 1}, {0: 1, 1: 1})
+    ring = CycRing(3)
+    c = from_coeffs(ring, [f, P(1) * f])
+    z = ring.root_power(1)
+    scalar.clear_memos()
+    monkeypatch.setattr(scalar, "_poly_gcd", no_gcd)
+    s = f + P(2)
+    assert (s.num, s.den) == ({0: 1, 2: 1, 3: 1}, {0: 1, 1: 1})
+    assert P(2) + f == s
+    d = f - P(1)
+    assert (d.num, d.den) == ({0: 1, 1: -1, 2: -1}, {0: 1, 1: 1})
+    for t in (c + P(2), P(2) + c, c - P(1), P(1) - c, c + z, z + c, c - z):
+        assert t.den == {0: 1, 1: 1}
+    assert (c + P(2)).nums == (s.num, {1: 1})
+    assert (c - P(1)).nums == (d.num, {1: 1})
+
+
+def _fraction_dens():
+    """Denominators with constant, cyclotomic and other factors in p, so
+    that operands share factors and their results cancel."""
+    factor = st.sampled_from(
+        [{0: 2}, {0: 3}, {0: -6}, {0: 1, 1: 2}, {0: 3, 2: 1}]
+        + [_to_dict(cyclotomic_coeffs(k)) for k in (1, 2, 3, 4, 6)])
+    return st.lists(factor, min_size=1, max_size=3).map(_product)
+
+
+def _product(polys):
+    out = {0: 1}
+    for a in polys:
+        out = _pmul(out, a)
+    return out
+
+
+def _oracle_scalars():
+    nums = st.builds(_pmul, st.dictionaries(
+        st.integers(-3, 3), st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
+        _fraction_dens())
+    return st.builds(Scalar, nums, _fraction_dens()) | scalars() | st.just(ZERO)
+
+
+def _assert_canonical(s, sympy, p):
+    """(num, den) is the unique canonical form of its value."""
+    num, den = s.num, s.den
+    if not num:
+        assert den == {0: 1}
+        return
+    assert min(den) == 0 and den[0] and den[max(den)] > 0
+    content = 0
+    for c in list(num.values()) + list(den.values()):
+        content = gcd(content, c)
+    assert content == 1
+    v = min(num)
+    assert sympy.gcd(_sympy_poly(num, p, -v), _sympy_poly(den, p)) == 1
+
+
+def _sympy_poly(a, p, shift=0):
+    return sum(c * p ** (e + shift) for e, c in a.items())
+
+
+@settings(deadline=None, max_examples=100)
+@given(_oracle_scalars(), _oracle_scalars())
+def test_arithmetic_matches_sympy_and_is_canonical(a, b):
+    # an oracle outside the fraction kernel that Scalar and CycElem share
+    sympy = pytest.importorskip("sympy")
+    p = sympy.Symbol("p")
+
+    def value(s):
+        return _sympy_poly(s.num, p) / _sympy_poly(s.den, p)
+
+    ops = [operator.add, operator.sub, operator.mul]
+    if not b.is_zero():
+        ops.append(operator.truediv)
+    for op in ops:
+        got = op(a, b)
+        _assert_canonical(got, sympy, p)
+        want = sympy.cancel(op(value(a), value(b)))
+        assert sympy.cancel(value(got) - want) == 0, op
 
 
 def test_pow():
