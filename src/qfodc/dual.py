@@ -682,6 +682,8 @@ class Workspace:
             raise UnsupportedConfigError(
                 f"corepresentation descriptor nests deeper than {MAX_DESCRIPTOR_DEPTH} levels"
             )
+        if not _well_formed(desc):
+            raise ValueError(f"cannot parse corepresentation descriptor {descriptor!r}")
         dim = _predicted_dim(desc, self.N)
         if dim is not None and dim > MAX_COREP_DIM:
             raise UnsupportedConfigError(
@@ -720,7 +722,7 @@ class Workspace:
                     f"minor degree {k} out of range 1..{self.config.rank}"
                 )
             cor = coordalg.minor_corep(N, k, None if k == 1 else self.exterior_relations())
-        elif desc.startswith("proj:"):
+        else:
             which = _PROJECTIONS.get(desc)
             if which is None:
                 raise UnsupportedConfigError(
@@ -741,8 +743,6 @@ class Workspace:
                 parent, pmat, labels, desc,
                 frame=frame, irreducible=(self.config.series == "A" and which == "sym") or None,
             )
-        else:
-            raise ValueError(f"cannot parse corepresentation descriptor {desc!r}")
         self._check_comatrix(cor)
         return cor
 
@@ -766,33 +766,29 @@ class Workspace:
         (|m1| <= 3, m2 a letter) is equivalent too.
 
         So each entry (r, c) of each letter m is applied to one leg of every
-        D_ij, leaving the element sum c m(w)[r, c] w' of the other leg.  If
-        every such leg is exactly zero on the first side, or else on the
-        second, the identity holds.  Otherwise the first side's nonzero legs
-        must vanish under separated_equal at SEPARATION_LENGTH.  The side is
-        chosen once for all entries, since the proof sums over k across
-        them.  separated_equal is linear, so a leg that is c times a leg
-        already separated (c != 0) has the same verdict and is skipped: the
-        legs are grouped by support and compared within a group by
-        _proportional."""
-        defects = []
-        for i in range(cor.dim):
-            for j in range(cor.dim):
-                defect = coordalg.coproduct(cor.entries[i][j], self.N)
-                for k in range(cor.dim):
-                    for w1, c1 in cor.entries[i][k].terms.items():
-                        for w2, c2 in cor.entries[k][j].terms.items():
-                            defect[(w1, w2)] = defect.get((w1, w2), ZERO) - c1 * c2
-                defect = {key: c for key, c in defect.items() if not c.is_zero()}
-                if defect:
-                    defects.append((i, j, defect))
-        letters = [rep for _, rep in self.separating_reps(1)]
+        D_ij, leaving an element of the other leg, without forming D_ij in
+        F (x) F (_comatrix_legs).  On the first side, (m (x) id)Delta(w) for
+        each word w of v^i_j is walked one generator at a time over the
+        states (r, current column, second-leg prefix), exact zeros dropped
+        (_letter_walk, cached per letter, word and side), and minus
+        sum_k m(v^i_k)[r, c] v^k_j is added from one letter matrix m(v^i_k)
+        per letter and entry (_entry_matrices); the second side is the
+        mirror image.  If every such leg is exactly zero on the first side,
+        or else on the second, the identity holds.  Otherwise the first
+        side's nonzero legs must vanish under separated_equal at
+        SEPARATION_LENGTH.  The side is chosen once for all entries, since
+        the proof sums over k across them.  separated_equal is linear, so a
+        leg that is c times a leg already separated (c != 0) has the same
+        verdict and is skipped: the legs are grouped by support and compared
+        within a group by _proportional."""
+        letters = [(m, _entry_matrices(m, cor)) for _, m in self.separating_reps(1)]
+        walks = {}
         for side in (0, 1):
-            if not any(_letter_legs(defects, letters, side)):
+            if not any(_comatrix_legs(cor, letters, side, walks)):
                 return
         zero = CoordElem()
         separated = {}
-        for i, j, leg in _letter_legs(defects, letters, 0):
+        for i, j, leg in _comatrix_legs(cor, letters, 0, walks):
             group = separated.setdefault(frozenset(leg), [])
             if any(_proportional(leg, done) for done in group):
                 continue
@@ -1081,24 +1077,99 @@ def _tensor_position_map(N, k):
     return out
 
 
-def _letter_legs(defects, letters, side):
+def _comatrix_legs(cor, letters, side, walks):
     """Yield (i, j, leg) for every nonzero leg that an entry (r, c) of a
-    letter representation leaves when applied to tensor leg `side` (0 or 1)
-    of a defect D_ij = sum c (w1, w2): the {word: scalar} map of
-    sum c m(w_side)[r, c] w_other."""
-    for i, j, defect in defects:
-        for rep in letters:
-            legs = {}
-            for words, c in defect.items():
-                w = words[1 - side]
-                for r, row in rep.word_matrix(words[side]).items():
-                    for col, v in row.items():
-                        leg = legs.setdefault((r, col), {})
-                        leg[w] = leg.get(w, ZERO) + c * v
-            for leg in legs.values():
-                leg = {w: c for w, c in leg.items() if not c.is_zero()}
-                if leg:
+    letter m leaves when applied to tensor leg `side` (0 or 1) of
+    D_ij = Delta(v^i_j) - sum_k v^i_k (x) v^k_j: the {word: scalar} map of
+    the other leg.  letters holds (m, _entry_matrices(m, cor)) pairs, and
+    walks caches _letter_walk across calls on one corep.
+
+    Where the identity holds only modulo the defining ideal (proj:*), little
+    of Delta(v^i_j) cancels against the sum, so the second side is walked in
+    full and both parts reach every leg term by term.  They are accumulated
+    into one flat {(r, c, word): scalar} map, from entry matrices negated
+    once, rather than leg by leg."""
+    dim, entries = cor.dim, cor.entries
+    for i in range(dim):
+        for j in range(dim):
+            for m, mats in letters:
+                acc = {}
+                for w, c in entries[i][j].terms.items():
+                    one = c.is_one()
+                    for key, v in _letter_walk(m, w, side, walks).items():
+                        t = v if one else c * v
+                        s = acc.get(key)
+                        acc[key] = t if s is None else s + t
+                for k in range(dim):
+                    if side == 0:
+                        mat, other = mats[i][k], entries[k][j].terms
+                    else:
+                        mat, other = mats[k][j], entries[i][k].terms
+                    for r, col, v in mat:
+                        for o, x in other.items():
+                            key = (r, col, o)
+                            t = v * x
+                            s = acc.get(key)
+                            acc[key] = t if s is None else s + t
+                legs = {}
+                for (r, col, o), v in acc.items():
+                    if not v.is_zero():
+                        legs.setdefault((r, col), {})[o] = v
+                for leg in legs.values():
                     yield i, j, leg
+
+
+def _letter_walk(m, w, side, walks):
+    """(m (x) id)Delta(w) for side 0, or (id (x) m)Delta(w) for side 1, as
+    {(r, c, word): scalar}.  For w = u^{i1}_{j1} ... u^{ik}_{jk} and side 0
+    the entry (r, c) is sum_s m(u^{i1}_{s1} ... u^{ik}_{sk})[r, c]
+    u^{s1}_{j1} ... u^{sk}_{jk}.  It is walked one generator at a time over
+    the states (r, current column, other-leg prefix), exact zeros dropped;
+    eps is diagonal and L+, L- are triangular, so most of the N^k splits
+    die early.  Each prefix is cached in walks per (letter, side)."""
+    key = (m.uid, side, w)
+    out = walks.get(key)
+    if out is not None:
+        return out
+    if not w:
+        out = {(r, r, ()): ONE for r in m.labels}
+    else:
+        i, j = w[-1]
+        steps = []
+        for s in range(1, m.N + 1):
+            gen = m.gen_matrix(i, s) if side == 0 else m.gen_matrix(s, j)
+            if gen:
+                steps.append((gen, (s, j) if side == 0 else (i, s)))
+        out = {}
+        for (r, col, o), c in _letter_walk(m, w[:-1], side, walks).items():
+            for gen, g in steps:
+                row = gen.get(col)
+                if row:
+                    o2 = o + (g,)
+                    for col2, v in row.items():
+                        nkey = (r, col2, o2)
+                        t = v if c is ONE else c * v
+                        s = out.get(nkey)
+                        out[nkey] = t if s is None else s + t
+        out = {k: v for k, v in out.items() if not v.is_zero()}
+    walks[key] = out
+    return out
+
+
+def _entry_matrices(m, cor):
+    """[[-m(v^i_k)]] over the corep's entries, each matrix a list of its
+    nonzero (r, c, value) triples."""
+    mats = []
+    for entry_row in cor.entries:
+        mat_row = []
+        for entry in entry_row:
+            mat = {}
+            for w, c in entry.terms.items():
+                for r, row in m.word_matrix(w).items():
+                    linalg.add_scaled(mat.setdefault(r, {}), -c, row)
+            mat_row.append([(r, col, v) for r, row in mat.items() for col, v in row.items()])
+        mats.append(mat_row)
+    return mats
 
 
 def _proportional(a, b):
@@ -1134,19 +1205,36 @@ def _nesting_depth(desc):
     return deepest
 
 
+def _well_formed(desc):
+    """True iff desc is a leaf 1, u, uc or minor:..., a proj:...(D) or a
+    tensor(D,D) or dsum(D,D), each D well formed in turn.  What a minor: or
+    proj: descriptor names is left to Workspace._build_corep."""
+    for head in ("tensor(", "dsum("):
+        if desc.startswith(head):
+            if not desc.endswith(")"):
+                return False
+            try:
+                a, b = _split_two(desc[len(head):-1])
+            except ValueError:
+                return False
+            return _well_formed(a) and _well_formed(b)
+    if desc.startswith("proj:"):
+        _, paren, arg = desc.partition("(")
+        return bool(paren) and arg.endswith(")") and _well_formed(arg[:-1])
+    return desc in ("1", "u", "uc") or desc.startswith("minor:")
+
+
 def _predicted_dim(desc, N):
-    """The dimension Workspace._build_corep gives a descriptor, read from the
-    text alone; None where _build_corep rejects the text itself."""
+    """The dimension Workspace._build_corep gives a well-formed descriptor,
+    read from the text alone; None where _build_corep rejects the text
+    itself."""
     if desc == "1":
         return 1
     if desc in ("u", "uc"):
         return N
     for head in ("tensor(", "dsum("):
         if desc.startswith(head):
-            try:
-                a, b = _split_two(desc[len(head):-1])
-            except ValueError:
-                return None
+            a, b = _split_two(desc[len(head):-1])
             da, db = _predicted_dim(a, N), _predicted_dim(b, N)
             if da is None or db is None:
                 return None

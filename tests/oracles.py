@@ -3,8 +3,9 @@
 Each is a plain function over the package's objects: direct evaluation of a
 functional word by word, the convolution inverse of the r-form, the antipode
 of an element, distinguished functionals, the adjoint action, right-ideal
-membership, the pairwise comatrix check and two R-matrix oracles.  Nothing
-in src/qfodc calls them; the tests compare the package's results against
+membership, the pairwise comatrix check, the letter legs of the
+materialised comatrix defect and two R-matrix oracles.  Nothing in
+src/qfodc calls them; the tests compare the package's results against
 them.
 """
 
@@ -157,22 +158,9 @@ def comatrix_holds(ws, cor):
     separated = {}
     for i in range(cor.dim):
         for j in range(cor.dim):
-            defect = coordalg.coproduct(cor.entries[i][j], ws.N)
-            for k in range(cor.dim):
-                for w1, c1 in cor.entries[i][k].terms.items():
-                    for w2, c2 in cor.entries[k][j].terms.items():
-                        defect[(w1, w2)] = defect.get((w1, w2), ZERO) - c1 * c2
+            defect = comatrix_defect(ws, cor, i, j)
             for _, rep in ws.separating_reps(2):
-                legs = {}
-                for (w1, w2), c in defect.items():
-                    for r, row in rep.word_matrix(w2).items():
-                        for col, v in row.items():
-                            leg = legs.setdefault((r, col), {})
-                            leg[w1] = leg.get(w1, ZERO) + c * v
-                for leg in legs.values():
-                    leg = {w: c for w, c in leg.items() if not c.is_zero()}
-                    if not leg:
-                        continue
+                for leg in _defect_legs(defect, rep, 1):
                     group = separated.setdefault(frozenset(leg), [])
                     if any(_proportional(leg, done) for done in group):
                         continue
@@ -180,6 +168,44 @@ def comatrix_holds(ws, cor):
                         return False
                     group.append(leg)
     return True
+
+
+def comatrix_defect(ws, cor, i, j):
+    """D_ij = Delta(v^i_j) - sum_k v^i_k (x) v^k_j, materialised in F (x) F
+    as {(w1, w2): scalar}."""
+    defect = coordalg.coproduct(cor.entries[i][j], ws.N)
+    for k in range(cor.dim):
+        for w1, c1 in cor.entries[i][k].terms.items():
+            for w2, c2 in cor.entries[k][j].terms.items():
+                defect[(w1, w2)] = defect.get((w1, w2), ZERO) - c1 * c2
+    return defect
+
+
+def _defect_legs(defect, rep, side):
+    """The nonzero legs that the entries (r, c) of rep leave when applied to
+    tensor leg `side` (0 or 1) of a defect: the {word: scalar} maps of
+    sum c rep(w_side)[r, c] w_other."""
+    legs = {}
+    for words, c in defect.items():
+        w = words[1 - side]
+        for r, row in rep.word_matrix(words[side]).items():
+            for col, v in row.items():
+                leg = legs.setdefault((r, col), {})
+                leg[w] = leg.get(w, ZERO) + c * v
+    legs = ({w: c for w, c in leg.items() if not c.is_zero()} for leg in legs.values())
+    return [leg for leg in legs if leg]
+
+
+def letter_legs(ws, cor, side):
+    """(i, j, leg) for every nonzero leg that a letter eps, L+ or L- leaves
+    on tensor leg `side` of the materialised defect D_ij."""
+    out = []
+    for i in range(cor.dim):
+        for j in range(cor.dim):
+            defect = comatrix_defect(ws, cor, i, j)
+            for _, rep in ws.separating_reps(1):
+                out.extend((i, j, leg) for leg in _defect_legs(defect, rep, side))
+    return out
 
 
 # -- R-matrix oracles --------------------------------------------------------

@@ -76,6 +76,17 @@ def test_unsupported_descriptor_exits_3(series, n, corep, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("corep", ["tensor(u,u", "dsum(u,u))", "tensor(u,)"])
+def test_malformed_descriptor_is_named_as_given(corep, capsys):
+    # the error names the whole descriptor, not the part that a nested
+    # parse was left with ('' or 'u)')
+    rc = cli.main(["build", "--series", "sl", "--n", "2", "--corep", corep])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse corepresentation descriptor {corep!r}\n"
+
+
 @pytest.mark.parametrize("levels", [31, 400, 600])
 def test_deeply_nested_descriptor_exits_3_at_once(levels, capsys):
     # bounded before anything is built: 31 levels pass the depth bound but

@@ -30,6 +30,7 @@ from oracles import (
     evaluate,
     k_alpha_functional,
     k_functional,
+    letter_legs,
     principal_minor,
     rbar_form,
 )
@@ -891,6 +892,53 @@ def test_comatrix_check_separates_at_length_three():
         assert not _comatrix_check_passes(ws, changed)
     assert verdicts[-1] == (False, 3)
     assert not comatrix_holds(ws, changed)
+
+
+# (series, n, descriptor) whose letter legs the walk must reproduce
+WALKED_COREPS = [
+    ("sl", 3, "uc"),
+    ("sl", 3, "minor:2"),
+    ("sl", 3, "proj:sym(tensor(u,u))"),
+    ("sl", 3, "proj:anti(tensor(u,u))"),
+    ("sl", 3, "tensor(u,u)"),
+    ("sl", 4, "uc"),
+    ("sl", 4, "minor:3"),
+    ("sp", 2, "proj:sym(tensor(u,u))"),
+    ("sl", 2, "proj:sym(tensor(u,u))"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _sp_workspace(n):
+    return Workspace(FieldConfig.sp(n))
+
+
+def _sorted_legs(legs):
+    return sorted((i, j, sorted((w, str(c)) for w, c in leg.items())) for i, j, leg in legs)
+
+
+@pytest.mark.parametrize("changed", [False, True], ids=["as-built", "changed"])
+@pytest.mark.parametrize("series, n, desc", WALKED_COREPS)
+def test_comatrix_walk_matches_the_materialised_legs(series, n, desc, changed):
+    # the legs that the letter walk leaves on each side equal the legs of
+    # the defect materialised through coordalg.coproduct; "changed" scales
+    # one entry and adds a word to another, so that both sides leave legs
+    ws = _sl_workspace(n) if series == "sl" else _sp_workspace(n)
+    cor = ws.corep(desc)
+    if changed:
+        entries = [list(row) for row in cor.entries]
+        last = cor.dim - 1
+        entries[0][last] = entries[0][last].scaled(Scalar.from_int(2))
+        word = CoordElem.from_word(((1, 2), (2, 1)), Scalar.p_power(1))
+        entries[last][0] = entries[last][0] + word
+        cor = SimpleNamespace(entries=entries, dim=cor.dim, label=cor.label)
+    letters = [(m, dual._entry_matrices(m, cor)) for _, m in ws.separating_reps(1)]
+    walks = {}
+    for side in (0, 1):
+        walked = list(dual._comatrix_legs(cor, letters, side, walks))
+        assert _sorted_legs(walked) == _sorted_legs(letter_legs(ws, cor, side))
+        if changed:
+            assert walked
 
 
 def test_corep_rep_multiplicative(ws3):
