@@ -11,9 +11,12 @@ functional equalities certified on free words are faithful.
 
 A Functional is a finite linear combination of (rep, row, col) entries.
 
-The Workspace ties one FieldConfig to its R-matrix, its oracle-pinned
-antipode, the corepresentation registry and all caches; it is the
-per-session instance behind every operation in this module and in fodc.
+The Workspace ties one FieldConfig to its R-matrix, its corepresentation
+registry (each descriptor parsed once by _parse, every node registered under
+its text) and one keyed cache of what is derived from them: the
+oracle-pinned antipode, the projectors, minors and the representations; it
+is the per-session instance behind every operation in this module and in
+fodc.
 """
 
 from __future__ import annotations
@@ -422,8 +425,9 @@ def span_ranks(*row_sets):
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """One quantum group: R-matrix, oracle-pinned antipode, corepresentation
-    registry, L-functional representations and all evaluation caches."""
+    """One quantum group: R-matrix, corepresentation registry, the r-form
+    memo and one keyed cache (_cached) of the antipode, the projectors,
+    minors and representations."""
 
     def __init__(self, config, d_max=D_MAX):
         last = START_DEGREE + STABILITY_WINDOW - 1
@@ -441,12 +445,15 @@ class Workspace:
         self._eps = eps_rep(config)
         self._pair_memo = {}
         self._coreps = {}
-        self._corep_reps = {}
-        self._separators = None
-        self._antipode = None
-        self._exterior = None
-        self._minor_tables = {}
-        self._projectors = None
+        self._cache = {}
+
+    def _cached(self, key, build, *args):
+        """The value stored under key, made by build(*args) on first use."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build(*args)
+            return value
 
     # -- low-level reps ------------------------------------------------------
 
@@ -455,10 +462,7 @@ class Workspace:
 
     def power(self, base, k):
         """conv_power(base, k), cached per (base, k)."""
-        key = ("power", base.uid, k)
-        if key not in self._corep_reps:
-            self._corep_reps[key] = conv_power(base, k)
-        return self._corep_reps[key]
+        return self._cached(("power", base.uid, k), conv_power, base, k)
 
     def convolve(self, f, g):
         """f * g as a Functional.  For f = sum a F[r, c] and g = sum b G[r', c'],
@@ -473,10 +477,7 @@ class Workspace:
 
     def _conv(self, frep, grep):
         """conv(frep, grep), cached per pair of reps."""
-        key = ("conv", frep.uid, grep.uid)
-        if key not in self._corep_reps:
-            self._corep_reps[key] = conv(frep, grep)
-        return self._corep_reps[key]
+        return self._cached(("conv", frep.uid, grep.uid), conv, frep, grep)
 
     def lplus_entry(self, i, j):
         return Functional([(self.lplus, i, j, ONE)], f"l+[{i},{j}]")
@@ -543,20 +544,16 @@ class Workspace:
         SEPARATION_LENGTH), as (word length, representation) pairs,
         shortest first."""
         length = positive_or_default(length, SEPARATION_LENGTH, "separation length")
-        if self._separators is None or self._separators[0] < length:
-            reps = [(0, self._eps)]
-            layer = [((), None)]
-            for l in range(1, length + 1):
-                nxt = []
-                for seq, rep in layer:
-                    for c in "+-":
-                        base = self.lplus if c == "+" else self.lminus
-                        nrep = base if rep is None else conv(rep, base)
-                        nxt.append((seq + (c,), nrep))
-                        reps.append((l, nrep))
-                layer = nxt
-            self._separators = (length, reps)
-        return [(l, rep) for l, rep in self._separators[1] if l <= length]
+        reps = [(0, self._eps)]
+        layer = [None]
+        for l in range(1, length + 1):
+            layer = [
+                base if rep is None else self._conv(rep, base)
+                for rep in layer
+                for base in (self.lplus, self.lminus)
+            ]
+            reps += [(l, rep) for rep in layer]
+        return reps
 
     def separated_equal(self, a, b, length=None):
         """Decide a = b in O(G_q) by evaluating the separating family on
@@ -580,19 +577,14 @@ class Workspace:
     def antipode_table(self):
         """Generator antipode table, selected solely by the antipode axiom
         checked under dual separation."""
-        if self._antipode is not None:
-            return self._antipode
-        cands = self._antipode_candidates()
-        winners = []
-        for tab in cands:
-            if self._antipode_axiom_holds(tab):
-                winners.append(tab)
-        if not winners:
-            raise AntipodeFailureError("no antipode candidate passes the axiom oracle")
-        if len(winners) > 1:
-            raise AntipodeFailureError("antipode candidate not unique")
-        self._antipode = winners[0]
-        return self._antipode
+        def select():
+            winners = [t for t in self._antipode_candidates() if self._antipode_axiom_holds(t)]
+            if not winners:
+                raise AntipodeFailureError("no antipode candidate passes the axiom oracle")
+            if len(winners) > 1:
+                raise AntipodeFailureError("antipode candidate not unique")
+            return winners[0]
+        return self._cached("antipode", select)
 
     def _antipode_candidates(self):
         N = self.N
@@ -648,102 +640,78 @@ class Workspace:
     # -- exterior algebra, minors, coreps --------------------------------------
 
     def spectral_projectors(self):
-        if self._projectors is None:
-            self._projectors = rmat.spectral_projectors(self.rdata)
-        return self._projectors
+        return self._cached("projectors", rmat.spectral_projectors, self.rdata)
 
     def exterior_relations(self):
-        if self._exterior is None:
-            self._exterior = coordalg.exterior_relations(
-                self.rdata, self.spectral_projectors()
-            )
-        return self._exterior
+        return self._cached("exterior", lambda: coordalg.exterior_relations(
+            self.rdata, self.spectral_projectors()
+        ))
 
     def minor_table(self, k):
-        if k not in self._minor_tables:
-            if self.config.series == "C" and k > 1:
-                raise coordalg.InvalidDegreeError(
-                    "C-series minors are supported for k = 1 only"
-                )
-            rel = self.exterior_relations() if k > 1 else None
-            self._minor_tables[k] = coordalg.quantum_minors(self.N, k, rel)
-        return self._minor_tables[k]
+        if self.config.series == "C" and k > 1:
+            raise coordalg.InvalidDegreeError("C-series minors are supported for k = 1 only")
+        return self._cached(("minors", k), lambda: coordalg.quantum_minors(
+            self.N, k, self.exterior_relations() if k > 1 else None
+        ))
 
     def corep(self, descriptor):
-        """Parse a corepresentation descriptor and register the result.
+        """Parse a corepresentation descriptor (_parse), check its dimension
+        and register it and every node below it (_register).
 
         Grammar: 1 | u | uc | tensor(D,D) | dsum(D,D) | minor:k |
         proj:sym(tensor(u,u)) | proj:anti(tensor(u,u))
         """
         desc = descriptor.replace(" ", "")
-        if desc in self._coreps:
-            return self._coreps[desc]
-        if _nesting_depth(desc) > MAX_DESCRIPTOR_DEPTH:
-            raise UnsupportedConfigError(
-                f"corepresentation descriptor nests deeper than {MAX_DESCRIPTOR_DEPTH} levels"
-            )
-        if not _well_formed(desc):
-            raise ValueError(f"cannot parse corepresentation descriptor {descriptor!r}")
-        dim = _predicted_dim(desc, self.N)
-        if dim is not None and dim > MAX_COREP_DIM:
-            raise UnsupportedConfigError(
-                f"corepresentation descriptor has dimension {dim} > {MAX_COREP_DIM}"
-            )
-        cor = self._build_corep(desc)
-        self._coreps[desc] = cor
+        cor = self._coreps.get(desc)
+        if cor is None:
+            tree = _parse(desc, self.config, whole=descriptor)
+            if tree[2] > MAX_COREP_DIM:
+                raise UnsupportedConfigError(
+                    f"corepresentation descriptor has dimension {tree[2]} > {MAX_COREP_DIM}"
+                )
+            cor = self._register(tree)
         return cor
 
-    def _build_corep(self, desc):
-        """Build a descriptor's corepresentation.  The comatrix identity holds
-        on the nose for 1, u, tensors and sums; every other corepresentation
-        is registered only after _check_comatrix."""
+    def _register(self, node):
+        """The corepresentation of a parse-tree node, built after the nodes
+        below it and registered under its text.  The comatrix identity holds
+        on the nose for 1, u, tensors and sums; uc, minor:k and proj:* are
+        registered only after _check_comatrix."""
+        text, head, dim, arg = node
+        cor = self._coreps.get(text)
+        if cor is not None:
+            return cor
         N = self.N
-        if desc == "1":
-            return coordalg.trivial_corep()
-        if desc == "u":
-            return coordalg.fundamental_corep(N)
-        for head in ("tensor(", "dsum("):
-            if desc.startswith(head):
-                args = _split_two(desc[len(head):-1])
-                a, b = self.corep(args[0]), self.corep(args[1])
-                return coordalg.tensor(a, b) if head == "tensor(" else coordalg.direct_sum(a, b)
-        if desc == "uc":
-            cor = coordalg.contragredient(self.corep("u"), self.antipode_table())
-        elif desc.startswith("minor:"):
-            field = desc.split(":", 1)[1]
-            try:
-                k = int(field)
-            except ValueError:
-                raise coordalg.InvalidDegreeError(
-                    f"minor degree must be an integer, got {field!r}"
-                ) from None
-            if not 1 <= k <= self.config.rank:
-                raise coordalg.InvalidDegreeError(
-                    f"minor degree {k} out of range 1..{self.config.rank}"
-                )
-            cor = coordalg.minor_corep(N, k, None if k == 1 else self.exterior_relations())
+        if head == "1":
+            cor = coordalg.trivial_corep()
+        elif head == "u":
+            cor = coordalg.fundamental_corep(N)
+        elif head in ("tensor", "dsum"):
+            a, b = (self._register(x) for x in arg)
+            cor = coordalg.tensor(a, b) if head == "tensor" else coordalg.direct_sum(a, b)
+        elif head == "uc":
+            cor = coordalg.contragredient(self._register(*arg), self.antipode_table())
+        elif head == "minor":
+            cor = coordalg.minor_corep(N, arg, None if arg == 1 else self.exterior_relations())
         else:
-            which = _PROJECTIONS.get(desc)
-            if which is None:
-                raise UnsupportedConfigError(
-                    f"{desc!r}: sym/anti projections act on tensor(u,u) only"
-                )
-            parent = self.corep("tensor(u,u)")
-            want = N * (N + 1) // 2 if which == "sym" else N * (N - 1) // 2
-            pmat = rmat.projector_of_rank(self.spectral_projectors(), want)
+            parent = self._register(*arg)
+            pmat = rmat.projector_of_rank(self.spectral_projectors(), dim)
             if pmat is None:
                 raise UnsupportedConfigError(
-                    f"{desc!r}: no spectral projector of rank {want} on {self.config}"
+                    f"{text!r}: no spectral projector of rank {dim} on {self.config}"
                 )
             labels = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-            frame = YoungWeight((2,)) if which == "sym" else (
+            sym = head == "proj:sym"
+            frame = YoungWeight((2,)) if sym else (
                 YoungWeight.fundamental(2) if self.config.rank >= 2 else None
             )
             cor = coordalg.projected_corep(
-                parent, pmat, labels, desc,
-                frame=frame, irreducible=(self.config.series == "A" and which == "sym") or None,
+                parent, pmat, labels, text,
+                frame=frame, irreducible=(self.config.series == "A" and sym) or None,
             )
-        self._check_comatrix(cor)
+        if head not in ("1", "u", "tensor", "dsum"):
+            self._check_comatrix(cor)
+        self._coreps[text] = cor
         return cor
 
     def _check_comatrix(self, cor):
@@ -811,36 +779,38 @@ class Workspace:
     def l_corep(self, base, v):
         """MatRep of the L-functionals of v over base L+ or L-: u^a_b maps
         to the matrix [_pairing(base, u^a_b, v^i_j)], so that
-        l+[v]^i_j = r(. (x) v^i_j) and l-[v]^i_j = rbar(v^i_j (x) .)."""
-        key = ("L", base.uid, v.label)
-        if key in self._corep_reps:
-            return self._corep_reps[key]
-        N = self.N
-        gens = {}
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                g = CoordElem.generator(a, b)
-                m = {}
-                for i in range(v.dim):
-                    for j in range(v.dim):
-                        val = self._pairing(base, g, v.entries[i][j])
-                        if not val.is_zero():
-                            m.setdefault(i + 1, {})[j + 1] = val
-                if m:
-                    gens[(a, b)] = m
-        rep = MatRep(N, range(1, v.dim + 1), gens, f"{base.name}[{v.label}]")
-        self._corep_reps[key] = rep
-        return rep
+        l+[v]^i_j = r(. (x) v^i_j) and l-[v]^i_j = rbar(v^i_j (x) .).  It
+        and the representations built on it are cached per Corep object,
+        not per label: two coreps may share a label."""
+        def build():
+            N = self.N
+            gens = {}
+            for a in range(1, N + 1):
+                for b in range(1, N + 1):
+                    g = CoordElem.generator(a, b)
+                    m = {}
+                    for i in range(v.dim):
+                        for j in range(v.dim):
+                            val = self._pairing(base, g, v.entries[i][j])
+                            if not val.is_zero():
+                                m.setdefault(i + 1, {})[j + 1] = val
+                    if m:
+                        gens[(a, b)] = m
+            return MatRep(N, range(1, v.dim + 1), gens, f"{base.name}[{v.label}]")
+        return self._cached(("L", base.uid, v), build)
 
     def mrep(self, v):
         """conv(S(L-[v]), L+[v]): houses all l(v^i_j)."""
-        key = ("m", v.label)
-        if key in self._corep_reps:
-            return self._corep_reps[key]
-        srep = antipode_rep(self.l_corep(self.lminus, v), self.config)
-        rep = conv(srep, self.l_corep(self.lplus, v), name=f"M[{v.label}]")
-        self._corep_reps[key] = rep
-        return rep
+        def build():
+            srep = antipode_rep(self.l_corep(self.lminus, v), self.config)
+            return conv(srep, self.l_corep(self.lplus, v), name=f"M[{v.label}]")
+        return self._cached(("m", v), build)
+
+    def twisted_rep(self, v, zeta):
+        """conv(eps_zeta, mrep(v)): houses all eps_zeta l(v^i_j)."""
+        return self._cached(("x", v, zeta), lambda: conv(
+            eps_zeta_rep(self.config, zeta), self.mrep(v), name=f"X[{zeta};{v.label}]"
+        ))
 
     def l_entry(self, v, i, j):
         """l(v^i_j) = sum_k S(l-[v]^i_k) l+[v]^k_j as a Functional."""
@@ -910,13 +880,10 @@ class Workspace:
     def _ad_rep(self, frep, xrep):
         """conv(S(frep), conv(xrep, frep)), the MatRep that houses ad_R(f)x
         for f inside frep and x inside xrep (cached)."""
-        key = ("ad", frep.uid, xrep.uid)
-        if key not in self._corep_reps:
-            skey = ("S", frep.uid)
-            if skey not in self._corep_reps:
-                self._corep_reps[skey] = antipode_rep(frep, self.config)
-            self._corep_reps[key] = conv(self._corep_reps[skey], self._conv(xrep, frep))
-        return self._corep_reps[key]
+        def build():
+            srep = self._cached(("S", frep.uid), antipode_rep, frep, self.config)
+            return conv(srep, self._conv(xrep, frep))
+        return self._cached(("ad", frep.uid, xrep.uid), build)
 
     # -- evaluation matrices, ranks, equality --------------------------------------
 
@@ -1183,9 +1150,6 @@ def _proportional(a, b):
     return all((a[w] * b0 - b[w] * a0).is_zero() for w in a)
 
 
-# the projections of tensor(u,u) onto its sym/anti spectral summands
-_PROJECTIONS = {"proj:sym(tensor(u,u))": "sym", "proj:anti(tensor(u,u))": "anti"}
-
 # Descriptor bounds, checked before anything is built.  Every descriptor of
 # the CLI, the tests and the benchmark nests at most 5 levels and has
 # dimension at most 27; deeper nesting would exhaust the parser's recursion,
@@ -1194,70 +1158,59 @@ MAX_DESCRIPTOR_DEPTH = 32
 MAX_COREP_DIM = 256
 
 
-def _nesting_depth(desc):
-    depth = deepest = 0
-    for ch in desc:
-        if ch == "(":
-            depth += 1
-            deepest = max(deepest, depth)
-        elif ch == ")":
-            depth -= 1
-    return deepest
+def _parse(desc, config, depth=0, whole=None):
+    """The parse tree of a descriptor without spaces, nested in depth
+    parentheses: a node (text, head, dim, arg).  head is 1, u, uc, minor,
+    proj:sym, proj:anti, tensor or dsum; arg is k for minor:k and otherwise
+    the tuple of child nodes: u for uc, tensor(u,u) for proj:*, the two
+    factors or summands for tensor and dsum, none for 1 and u.  dim is the
+    dimension of the corepresentation that Workspace._register builds.
 
-
-def _well_formed(desc):
-    """True iff desc is a leaf 1, u, uc or minor:..., a proj:...(D) or a
-    tensor(D,D) or dsum(D,D), each D well formed in turn.  What a minor: or
-    proj: descriptor names is left to Workspace._build_corep."""
-    for head in ("tensor(", "dsum("):
-        if desc.startswith(head):
-            if not desc.endswith(")"):
-                return False
-            try:
-                a, b = _split_two(desc[len(head):-1])
-            except ValueError:
-                return False
-            return _well_formed(a) and _well_formed(b)
-    if desc.startswith("proj:"):
-        _, paren, arg = desc.partition("(")
-        return bool(paren) and arg.endswith(")") and _well_formed(arg[:-1])
-    return desc in ("1", "u", "uc") or desc.startswith("minor:")
-
-
-def _predicted_dim(desc, N):
-    """The dimension Workspace._build_corep gives a well-formed descriptor,
-    read from the text alone; None where _build_corep rejects the text
-    itself."""
-    if desc == "1":
-        return 1
-    if desc in ("u", "uc"):
-        return N
-    for head in ("tensor(", "dsum("):
-        if desc.startswith(head):
-            a, b = _split_two(desc[len(head):-1])
-            da, db = _predicted_dim(a, N), _predicted_dim(b, N)
-            if da is None or db is None:
-                return None
-            return da * db if head == "tensor(" else da + db
+    Every check that the text alone decides is made here: text outside the
+    grammar is a ValueError naming whole (the descriptor as given), nesting
+    deeper than MAX_DESCRIPTOR_DEPTH an UnsupportedConfigError, and so is a
+    projection of anything but tensor(u,u); a minor:k with k not an integer
+    in 1..rank is an InvalidDegreeError."""
+    N = config.N
+    if desc in ("1", "u"):
+        return desc, desc, 1 if desc == "1" else N, ()
+    if desc == "uc":
+        return desc, desc, N, (_parse("u", config),)
     if desc.startswith("minor:"):
+        field = desc[len("minor:"):]
         try:
-            k = int(desc.split(":", 1)[1])
+            k = int(field)
         except ValueError:
-            return None
-        return comb(N, k) if 1 <= k <= N else None
-    which = _PROJECTIONS.get(desc)
-    if which is None:
-        return None
-    return N * (N + 1) // 2 if which == "sym" else N * (N - 1) // 2
-
-
-def _split_two(s):
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch in "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return s[:i], s[i + 1:]
-    raise ValueError(f"expected two comma-separated descriptors in {s!r}")
+            raise coordalg.InvalidDegreeError(
+                f"minor degree must be an integer, got {field!r}"
+            ) from None
+        if not 1 <= k <= config.rank:
+            raise coordalg.InvalidDegreeError(
+                f"minor degree {k} out of range 1..{config.rank}"
+            )
+        return desc, "minor", comb(N, k), k
+    head, paren, body = desc.partition("(")
+    if paren and body.endswith(")"):
+        if depth >= MAX_DESCRIPTOR_DEPTH:
+            raise UnsupportedConfigError(
+                f"corepresentation descriptor nests deeper than {MAX_DESCRIPTOR_DEPTH} levels"
+            )
+        inner = body[:-1]
+        if head.startswith("proj:"):
+            arg = _parse(inner, config, depth + 1, whole)
+            if head not in ("proj:sym", "proj:anti") or arg[0] != "tensor(u,u)":
+                raise UnsupportedConfigError(
+                    f"{desc!r}: sym/anti projections act on tensor(u,u) only"
+                )
+            dim = N * (N + 1) // 2 if head == "proj:sym" else N * (N - 1) // 2
+            return desc, head, dim, (arg,)
+        if head in ("tensor", "dsum"):
+            level = 0
+            for i, ch in enumerate(inner):
+                level += (ch == "(") - (ch == ")")
+                if ch == "," and level == 0:
+                    a = _parse(inner[:i], config, depth + 1, whole)
+                    b = _parse(inner[i + 1:], config, depth + 1, whole)
+                    dim = a[2] * b[2] if head == "tensor" else a[2] + b[2]
+                    return desc, head, dim, (a, b)
+    raise ValueError(f"cannot parse corepresentation descriptor {whole or desc!r}")

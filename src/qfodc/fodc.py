@@ -69,9 +69,7 @@ class QuantumLieAlgebra:
         self.ws = ws
         self.corep = v
         self.zeta = zeta
-        self.xrep = dual.conv(
-            dual.eps_zeta_rep(ws.config, zeta), ws.mrep(v), name=f"X[{zeta};{v.label}]"
-        )
+        self.xrep = ws.twisted_rep(v, zeta)
         self.basis = []
         eps_f = ws.eps_functional()
         for i in range(v.dim):
@@ -212,7 +210,7 @@ def central_label(v, zeta):
 def central_element(ws, v, zeta):
     """c_zeta(v) = sum_ij eps_zeta l(v^i_j) (D^{-1})^j_i."""
     dinv = d_inverse_matrix(ws, v)
-    xrep = dual.conv(dual.eps_zeta_rep(ws.config, zeta), ws.mrep(v))
+    xrep = ws.twisted_rep(v, zeta)
     terms = []
     for i in range(v.dim):
         for j in range(v.dim):

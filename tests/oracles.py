@@ -4,13 +4,13 @@ Each is a plain function over the package's objects: direct evaluation of a
 functional word by word, the convolution inverse of the r-form, the antipode
 of an element, distinguished functionals, the adjoint action, right-ideal
 membership, the pairwise comatrix check, the letter legs of the
-materialised comatrix defect and two R-matrix oracles.  Nothing in
-src/qfodc calls them; the tests compare the package's results against
-them.
+materialised comatrix defect, the irreducible components of a descriptor
+and two R-matrix oracles.  Nothing in src/qfodc calls them; the tests
+compare the package's results against them.
 """
 
-from qfodc import coordalg, linalg, rmat
-from qfodc.coordalg import CoordElem
+from qfodc import coordalg, dual, linalg, rmat
+from qfodc.coordalg import CoordElem, YoungWeight
 from qfodc.dual import Functional, _proportional, antipode_rep, conv, nested_label
 from qfodc.scalar import ONE, ZERO
 
@@ -206,6 +206,56 @@ def letter_legs(ws, cor, side):
             for _, rep in ws.separating_reps(1):
                 out.extend((i, j, leg) for leg in _defect_legs(defect, rep, side))
     return out
+
+
+TRIVIAL, BOX = YoungWeight(()), YoungWeight.fundamental(1)
+
+
+def components(config, node):
+    """The distinct irreducible components of a node of dual._parse, as
+    Young frames, folded from the descriptor grammar alone: 1 is trivial,
+    u a box, uc the column of length N - 1 on SL_q(N) and a box on
+    Sp_q(2n), minor:k the column of length k, proj:sym the row of length 2
+    and proj:anti the column of length 2 (trivial at rank 1); dsum is the
+    union, and a tensor with a factor whose components are among trivial
+    and box follows Pieri (coordalg._tensor_with_vector) for the box and
+    keeps the other factor for the trivial one.  None for the tensors the
+    rule does not reach."""
+    _, head, _, arg = node
+    if head == "1":
+        return {TRIVIAL}
+    if head == "u":
+        return {BOX}
+    if head == "uc":
+        return {YoungWeight.fundamental(config.N - 1) if config.series == "A" else BOX}
+    if head == "minor":
+        return {YoungWeight.fundamental(arg)}
+    if head == "proj:sym":
+        return {YoungWeight((2,))}
+    if head == "proj:anti":
+        return {YoungWeight.fundamental(2) if config.rank >= 2 else TRIVIAL}
+    a, b = (components(config, x) for x in arg)
+    if a is None or b is None:
+        return None
+    if head == "dsum":
+        return a | b
+    for x, y in ((a, b), (b, a)):
+        if y <= {TRIVIAL, BOX}:
+            return (x if TRIVIAL in y else set()) | (
+                coordalg._tensor_with_vector(config, x) if BOX in y else set())
+    return None
+
+
+def component_dim(config, descriptor, zeta):
+    """dim X_zeta(v) as the components predict it: the sum of
+    weyl_dim(lambda)^2 over the distinct irreducible components lambda of
+    v, the trivial one left out at zeta = 1; None where components gives
+    None."""
+    frames = components(config, dual._parse(descriptor, config))
+    if frames is None:
+        return None
+    return sum(coordalg.weyl_dim(lam, config) ** 2
+               for lam in frames if not (zeta.is_one() and lam.trivial))
 
 
 # -- R-matrix oracles --------------------------------------------------------

@@ -151,13 +151,23 @@ def ws_sl2():
 @given(desc=DESCRIPTORS)
 def test_descriptor_registers_or_is_config_error(ws_sl2, desc):
     # every descriptor either registers a corepresentation or is rejected as
-    # a configuration error (a ValueError that cli.main maps to exit 3)
+    # a configuration error (a ValueError that cli.main maps to exit 3); a
+    # registered one has its parse tree's dimension, and every node of the
+    # tree is registered under its text
     try:
         cor = ws_sl2.corep(desc)
     except ValueError as exc:
         assert not isinstance(exc, cli.FAILURES), repr(exc)
     else:
         assert isinstance(cor, coordalg.Corep)
+        tree = dual._parse(desc.replace(" ", ""), ws_sl2.config)
+        assert cor.dim == tree[2]
+        nodes = [tree]
+        while nodes:
+            text, head, _, arg = nodes.pop()
+            assert text in ws_sl2._coreps
+            if head != "minor":
+                nodes.extend(arg)
 
 
 def test_verify_factorizability(capsys):

@@ -4,10 +4,11 @@ import pytest
 
 from qfodc import coordalg, dual, fodc, linalg
 from qfodc.cli import parse_zeta
-from qfodc.coordalg import CoordElem, YoungWeight, coproduct_splits
+from qfodc.coordalg import CoordElem, coproduct_splits
 from qfodc.cyclotomic import Zeta
 from qfodc.dual import Functional, Workspace, all_words
 from qfodc.scalar import FieldConfig, ONE, ZERO
+import oracles
 from oracles import evaluate, right_ideal_member
 
 g = CoordElem.generator
@@ -478,30 +479,85 @@ def test_classify_json_deterministic(ws2):
     assert a == b
 
 
-# components listed by hand as Young frames (column multiplicities)
-TRIVIAL, BOX, ROW2, COLUMN2 = (YoungWeight(m) for m in ((), (1,), (2,), (0, 1)))
+def _case(series, n, corep, zeta, dim, id=None):
+    return pytest.param(series, n, corep, zeta, dim, id=id or f"{series}{n}-{corep}-{zeta}")
 
 
-@pytest.mark.parametrize("config, corep, zeta, components, dim", [
-    (FieldConfig.sl(2), "tensor(u,u)", Zeta(1, 0), [ROW2, TRIVIAL], 9),
-    (FieldConfig.sl(2), "tensor(u,u)", Zeta(2, 1), [ROW2, TRIVIAL], 10),
-    (FieldConfig.sl(2), "dsum(1,u)", Zeta(1, 0), [TRIVIAL, BOX], 4),
-    (FieldConfig.sl(2), "dsum(1,u)", Zeta(2, 1), [TRIVIAL, BOX], 5),
-    (FieldConfig.sl(2), "dsum(u,u)", Zeta(1, 0), [BOX], 4),
-    (FieldConfig.sl(3), "minor:2", Zeta(1, 0), [COLUMN2], 9),
-    (FieldConfig.sp(2), "u", Zeta(1, 0), [BOX], 16),
-], ids=["sl2-uu-1", "sl2-uu--1", "sl2-1+u-1", "sl2-1+u--1", "sl2-u+u-1",
-        "sl3-minor2-1", "sp4-u-1"])
-def test_dimension_matches_component_oracle(config, corep, zeta, components, dim):
+@pytest.mark.parametrize("series, n, corep, zeta, dim", [
+    _case("sl", 2, "tensor(u,u)", "1", 9, "sl2-uu-1"),
+    _case("sl", 2, "tensor(u,u)", "-1", 10, "sl2-uu--1"),
+    _case("sl", 2, "dsum(1,u)", "1", 4, "sl2-1+u-1"),
+    _case("sl", 2, "dsum(1,u)", "-1", 5, "sl2-1+u--1"),
+    _case("sl", 2, "dsum(u,u)", "1", 4, "sl2-u+u-1"),
+    _case("sl", 3, "minor:2", "1", 9, "sl3-minor2-1"),
+    _case("sp", 2, "u", "1", 16, "sp4-u-1"),
+    # the builds and reports the benchmark pins, one twist of each
+    _case("sp", 3, "u", "1", 36),
+    _case("sl", 3, "tensor(u,u)", "1", 45),
+    _case("sl", 5, "u", "1", 25),
+    _case("sl", 3, "proj:sym(tensor(u,u))", "1", 36),
+    _case("sl", 4, "minor:2", "1", 36),
+    _case("sl", 4, "u", "w", 16),
+    _case("sl", 2, "u", "1", 4),
+    _case("sl", 2, "u", "-1", 4),
+    _case("sl", 3, "u", "1", 9),
+    _case("sl", 3, "u", "w", 9),
+    _case("sp", 1, "u", "-1", 4),
+    # the builds CI runs
+    _case("sp", 2, "proj:sym(tensor(u,u))", "1", 100),
+    _case("sl", 5, "u", "w2", 25),
+    _case("sl", 6, "u", "w", 36),
+    _case("sl", 7, "u", "w", 49),
+    _case("sl", 3, "tensor(u,u)", "w", 45),
+    _case("sp", 2, "tensor(u,u)", "1", 125),
+    _case("sl", 4, "tensor(u,u)", "1", 136),
+    _case("sl", 4, "uc", "1", 16),
+    _case("sl", 5, "minor:2", "1", 100),
+    _case("sl", 5, "minor:3", "1", 100),
+    _case("sl", 4, "proj:sym(tensor(u,u))", "1", 100),
+    _case("sl", 3, "dsum(tensor(1,uc),dsum(minor:2,proj:sym(tensor(u,u))))", "1", 45),
+    # every head of the grammar, and tensors with a factor u, uc or 1
+    _case("sl", 2, "proj:anti(tensor(u,u))", "1", 0),
+    _case("sl", 2, "proj:anti(tensor(u,u))", "-1", 1),
+    _case("sl", 3, "proj:anti(tensor(u,u))", "1", 9),
+    _case("sl", 2, "uc", "-1", 4),
+    _case("sp", 1, "tensor(u,u)", "-1", 10),
+    _case("sl", 2, "tensor(tensor(u,u),1)", "-1", 10),
+    _case("sl", 2, "tensor(u,tensor(u,u))", "1", 20),
+    _case("sl", 2, "tensor(uc,dsum(1,u))", "-1", 14),
+    _case("sl", 3, "tensor(u,uc)", "1", 64),
+])
+def test_dimension_matches_component_oracle(series, n, corep, zeta, dim):
     # dim X_zeta(v) = sum of (dim V_lambda)^2 over the distinct irreducible
-    # components of v; the trivial component drops out at zeta = 1
+    # components of v, folded from the descriptor (oracles.components); the
+    # trivial component drops out at zeta = 1
+    config = getattr(FieldConfig, series)(n)
+    zeta = parse_zeta(config, zeta)
     ws = Workspace(config)
     lie = fodc.quantum_lie(ws, ws.corep(corep), zeta)
-    oracle = sum(
-        coordalg.weyl_dim(lam, config) ** 2
-        for lam in components if not (zeta.is_one() and lam.trivial)
-    )
-    assert lie.certified_dim == oracle == dim
+    assert lie.certified_dim == oracles.component_dim(config, corep, zeta) == dim
+
+
+# descriptors the component oracle does not cover: tensors of which neither
+# factor has only trivial and box components
+@pytest.mark.parametrize("series, n, corep", [
+    ("sl", 3, "tensor(minor:2,minor:2)"),
+    ("sl", 3, "tensor(uc,uc)"),
+    ("sl", 4, "tensor(minor:2,proj:sym(tensor(u,u)))"),
+    ("sl", 3, "dsum(u,tensor(uc,uc))"),
+])
+def test_component_oracle_names_what_it_does_not_cover(series, n, corep):
+    config = getattr(FieldConfig, series)(n)
+    assert oracles.component_dim(config, corep, Zeta(1, 0)) is None
+
+
+def test_lie_reps_are_keyed_on_the_corep_not_its_label():
+    # a corep labelled "u" with the entries of tensor(u,u): its Lie algebra
+    # must not reuse the representations built for the registered u
+    ws = Workspace(FieldConfig.sl(2))
+    assert fodc.quantum_lie(ws, ws.corep("u"), Zeta(1, 0)).certified_dim == 4
+    disguised = coordalg.Corep(ws.corep("tensor(u,u)").entries, "u")
+    assert fodc.quantum_lie(ws, disguised, Zeta(1, 0)).certified_dim == 9
 
 
 def test_sp4_fundamental_dimension():
