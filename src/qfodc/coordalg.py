@@ -273,12 +273,10 @@ class Corep:
     the workspace layer verifies the latter by dual separation.
     """
 
-    def __init__(self, entries, label, frame=None, irreducible=None):
+    def __init__(self, entries, label):
         self.entries = entries
         self.dim = len(entries)
         self.label = label
-        self.frame = frame
-        self.irreducible = irreducible
         for i in range(self.dim):
             for j in range(self.dim):
                 eps = entries[i][j].counit()
@@ -295,12 +293,12 @@ class Corep:
 
 
 def trivial_corep():
-    return Corep([[CoordElem.unit()]], "1", frame=YoungWeight(()), irreducible=True)
+    return Corep([[CoordElem.unit()]], "1")
 
 
 def fundamental_corep(N):
     entries = [[CoordElem.generator(i + 1, j + 1) for j in range(N)] for i in range(N)]
-    return Corep(entries, "u", frame=YoungWeight.fundamental(1), irreducible=True)
+    return Corep(entries, "u")
 
 
 def tensor(v, w):
@@ -346,10 +344,10 @@ def minor_corep(N, k, relations):
     minors = quantum_minors(N, k, relations)
     sets = list(combinations(range(1, N + 1), k))
     entries = [[minors[(ji, ii)] for ii in sets] for ji in sets]
-    return Corep(entries, f"minor:{k}", frame=YoungWeight.fundamental(k), irreducible=True)
+    return Corep(entries, f"minor:{k}")
 
 
-def projected_corep(parent, pmat, labels, label, frame=None, irreducible=None):
+def projected_corep(parent, pmat, labels, label):
     """Compress a corepresentation by an exact idempotent.
 
     pmat is a sparse projector on `labels`, which must index the parent's
@@ -386,7 +384,7 @@ def projected_corep(parent, pmat, labels, label, frame=None, irreducible=None):
                 acc = acc + parent.entries[s][index[t_lab]].scaled(bv)
             row.append(acc)
         entries.append(row)
-    return Corep(entries, label, frame=frame, irreducible=irreducible)
+    return Corep(entries, label)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from itertools import product
 from math import comb
 
 from . import coordalg, linalg, rmat
-from .coordalg import CoordElem, YoungWeight
+from .coordalg import CoordElem
 from .scalar import ONE, Scalar, UnsupportedConfigError, ZERO
 
 
@@ -648,8 +648,6 @@ class Workspace:
         ))
 
     def minor_table(self, k):
-        if self.config.series == "C" and k > 1:
-            raise coordalg.InvalidDegreeError("C-series minors are supported for k = 1 only")
         return self._cached(("minors", k), lambda: coordalg.quantum_minors(
             self.N, k, self.exterior_relations() if k > 1 else None
         ))
@@ -701,14 +699,7 @@ class Workspace:
                     f"{text!r}: no spectral projector of rank {dim} on {self.config}"
                 )
             labels = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-            sym = head == "proj:sym"
-            frame = YoungWeight((2,)) if sym else (
-                YoungWeight.fundamental(2) if self.config.rank >= 2 else None
-            )
-            cor = coordalg.projected_corep(
-                parent, pmat, labels, text,
-                frame=frame, irreducible=(self.config.series == "A" and sym) or None,
-            )
+            cor = coordalg.projected_corep(parent, pmat, labels, text)
         if head not in ("1", "u", "tensor", "dsum"):
             self._check_comatrix(cor)
         self._coreps[text] = cor
@@ -745,26 +736,18 @@ class Workspace:
         or else on the second, the identity holds.  Otherwise the first
         side's nonzero legs must vanish under separated_equal at
         SEPARATION_LENGTH.  The side is chosen once for all entries, since
-        the proof sums over k across them.  separated_equal is linear, so a
-        leg that is c times a leg already separated (c != 0) has the same
-        verdict and is skipped: the legs are grouped by support and compared
-        within a group by _proportional."""
+        the proof sums over k across them."""
         letters = [(m, _entry_matrices(m, cor)) for _, m in self.separating_reps(1)]
         walks = {}
         for side in (0, 1):
             if not any(_comatrix_legs(cor, letters, side, walks)):
                 return
         zero = CoordElem()
-        separated = {}
         for i, j, leg in _comatrix_legs(cor, letters, 0, walks):
-            group = separated.setdefault(frozenset(leg), [])
-            if any(_proportional(leg, done) for done in group):
-                continue
             if not self.separated_equal(CoordElem(leg), zero)[0]:
                 raise coordalg.NotInvariantError(
                     f"entry ({i},{j}) of {cor.label} fails the comatrix check"
                 )
-            group.append(leg)
 
     def tensor_power_corep(self, k):
         if k == 0:
@@ -1139,23 +1122,19 @@ def _entry_matrices(m, cor):
     return mats
 
 
-def _proportional(a, b):
-    """True iff a = c b for some scalar c != 0, for {word: nonzero scalar}
-    maps.  Exact cross-multiplication against one fixed word w0 of the
-    shared support, a[w] b[w0] = b[w] a[w0]: no inverse is taken."""
-    if a.keys() != b.keys():
-        return False
-    w0 = next(iter(b))
-    a0, b0 = a[w0], b[w0]
-    return all((a[w] * b0 - b[w] * a0).is_zero() for w in a)
-
-
 # Descriptor bounds, checked before anything is built.  Every descriptor of
 # the CLI, the tests and the benchmark nests at most 5 levels and has
 # dimension at most 27; deeper nesting would exhaust the parser's recursion,
 # and the dimension of nested tensor products grows exponentially.
 MAX_DESCRIPTOR_DEPTH = 32
 MAX_COREP_DIM = 256
+
+
+def minor_degrees(config):
+    """The k of the minor:k that are built: 1..rank on SL_q(N), and only 1
+    on Sp_q(2n), whose exterior relations coordalg.exterior_relations does
+    not derive."""
+    return range(1, (config.rank if config.series == "A" else 1) + 1)
 
 
 def _parse(desc, config, depth=0, whole=None):
@@ -1170,7 +1149,7 @@ def _parse(desc, config, depth=0, whole=None):
     grammar is a ValueError naming whole (the descriptor as given), nesting
     deeper than MAX_DESCRIPTOR_DEPTH an UnsupportedConfigError, and so is a
     projection of anything but tensor(u,u); a minor:k with k not an integer
-    in 1..rank is an InvalidDegreeError."""
+    in minor_degrees(config) an InvalidDegreeError."""
     N = config.N
     if desc in ("1", "u"):
         return desc, desc, 1 if desc == "1" else N, ()
@@ -1184,10 +1163,9 @@ def _parse(desc, config, depth=0, whole=None):
             raise coordalg.InvalidDegreeError(
                 f"minor degree must be an integer, got {field!r}"
             ) from None
-        if not 1 <= k <= config.rank:
-            raise coordalg.InvalidDegreeError(
-                f"minor degree {k} out of range 1..{config.rank}"
-            )
+        ks = minor_degrees(config)
+        if k not in ks:
+            raise coordalg.InvalidDegreeError(f"minor degree {k} out of range 1..{ks[-1]}")
         return desc, "minor", comb(N, k), k
     head, paren, body = desc.partition("(")
     if paren and body.endswith(")"):

@@ -385,11 +385,8 @@ class ClassificationReport:
 def candidate_library(ws, frame_bound=2):
     """Candidate irreducible corepresentations by Young frame, realizable
     from the registry: fundamental minors and the symmetric square."""
-    n = ws.config.rank
     out = [(YoungWeight(()), "1")]
-    for k in range(1, n + 1):
-        if ws.config.series == "C" and k > 1:
-            break
+    for k in dual.minor_degrees(ws.config):
         frame = YoungWeight.fundamental(k)
         if sum((t + 1) * m for t, m in enumerate(frame.m)) <= frame_bound:
             out.append((frame, "u" if k == 1 else f"minor:{k}"))
@@ -449,10 +446,9 @@ TRIVIAL = Zeta(1, 0)
 def verify_minor_tau(ws, degree=None):
     """l(D_k) = tau_k for the (1,1) L-entry of each fundamental minor D_k."""
     degree = dual.positive_or_default(degree, 4, "degree")
-    ks = range(1, ws.config.rank + 1) if ws.config.series == "A" else (1,)
     results = {}
     ok = True
-    for k in ks:
+    for k in dual.minor_degrees(ws.config):
         v = ws.corep("u" if k == 1 else f"minor:{k}")
         eq, deg = ws.functional_equal(
             ws.l_entry(v, 0, 0), ws.tau_functional(YoungWeight.fundamental(k)), degree

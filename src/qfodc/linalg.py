@@ -3,8 +3,9 @@
 Rows and matrices are sparse dicts whose values are field elements (Scalar
 or CycElem); the code only relies on +, -, *, .inverse(), .is_zero() and
 .complexity(), so the same elimination routines serve both ground fields.
-Elimination is forward only: `extend` is its one step, and no basis row is
-rewritten.
+Elimination is forward: `extend` and `extend_tracked` are its one step, and
+no basis row is rewritten.  mat_inverse and coordalg.projected_corep
+back-substitute after their forward pass.
 Matrices are row-major dicts {row_label: {col_label: value}} with arbitrary
 hashable, mutually comparable labels.
 """
@@ -36,21 +37,15 @@ def add_scaled(acc, coeff, row):
                 acc[c] = s
 
 
-def row_sub_scaled(row, coeff, other):
-    """row - coeff * other, dropping exact zeros."""
-    out = dict(row)
-    add_scaled(out, -coeff, other)
-    return out
-
-
 def reduce_row(row, basis):
-    """Reduce a sparse row against an echelon basis [(pivot_col, row), ...]."""
-    out = dict(row)
+    """Reduce a sparse row against an echelon basis [(pivot_col, row), ...],
+    on one copy of the row with its exact zeros dropped."""
+    out = {c: v for c, v in row.items() if not v.is_zero()}
     for pc, brow in basis:
         v = out.get(pc)
-        if v is not None and not v.is_zero():
-            out = row_sub_scaled(out, v, brow)
-    return {c: v for c, v in out.items() if not v.is_zero()}
+        if v is not None:
+            add_scaled(out, -v, brow)
+    return out
 
 
 def extend(basis, row):
@@ -66,6 +61,17 @@ def extend(basis, row):
     return True
 
 
+def _reduce_tracked(row, coeffs, basis):
+    """Take off row, in place, the multiple of each basis row
+    (pivot_col, row, coeffs) that clears its pivot, and the same multiple
+    of that row's coeffs off coeffs.  row holds no exact zeros."""
+    for pc, brow, bco in basis:
+        v = row.get(pc)
+        if v is not None:
+            add_scaled(row, -v, brow)
+            add_scaled(coeffs, -v, bco)
+
+
 def extend_tracked(basis, row, coeffs):
     """extend, tracking a coefficient vector alongside the row: basis is
     [(pivot_col, row, coeffs), ...], and each multiple of a basis row taken
@@ -73,13 +79,8 @@ def extend_tracked(basis, row, coeffs):
     remainder is appended with its coeffs, both scaled to make the pivot 1,
     and None is returned; a zero remainder returns its coeffs, a
     combination whose row vanishes."""
-    row, coeffs = dict(row), dict(coeffs)
-    for pc, brow, bco in basis:
-        v = row.get(pc)
-        if v is not None and not v.is_zero():
-            add_scaled(row, -v, brow)
-            add_scaled(coeffs, -v, bco)
-    row = {c: v for c, v in row.items() if not v.is_zero()}
+    row, coeffs = {c: v for c, v in row.items() if not v.is_zero()}, dict(coeffs)
+    _reduce_tracked(row, coeffs, basis)
     if not row:
         return coeffs
     pc = _pivot(row)
@@ -179,41 +180,21 @@ def vec_mat(x, a):
 
 
 def mat_inverse(a, labels):
-    """Exact inverse via Gauss-Jordan; raises ArithmeticError if singular."""
-    labels = list(labels)
-    work = {r: dict(a.get(r, {})) for r in labels}
-    inv = {r: {r: ONE} for r in labels}
-    order = []
-    remaining = set(labels)
-    for col in labels:
-        piv = None
-        best = None
-        for r in remaining:
-            v = work[r].get(col)
-            if v is not None and not v.is_zero():
-                w = v.complexity()
-                if best is None or w < best:
-                    best, piv = w, r
-        if piv is None:
+    """Exact inverse of a square matrix on labels; raises ArithmeticError if
+    singular.  The rows of a are eliminated forward (extend_tracked), row r
+    tracking the combination {r: 1}.  Then each basis row, from the last to
+    the first, is reduced with its combination against the rows after it:
+    it is left the unit vector at its pivot, so its combination is the
+    inverse's row at that pivot."""
+    basis = []
+    for r in labels:
+        if extend_tracked(basis, a.get(r, {}), {r: ONE}) is not None:
             raise ArithmeticError("singular matrix")
-        remaining.discard(piv)
-        order.append((col, piv))
-        f = work[piv][col].inverse()
-        work[piv] = {c: f * v for c, v in work[piv].items()}
-        inv[piv] = {c: f * v for c, v in inv[piv].items()}
-        for r in labels:
-            if r == piv:
-                continue
-            v = work[r].get(col)
-            if v is None or v.is_zero():
-                continue
-            work[r] = row_sub_scaled(work[r], v, work[piv])
-            inv[r] = row_sub_scaled(inv[r], v, inv[piv])
-    # rows of the inverse follow the pivot permutation
-    out = {}
-    for col, piv in order:
-        out[col] = inv[piv]
-    return out
+    for i in reversed(range(len(basis))):
+        _, row, coeffs = basis[i]
+        _reduce_tracked(row, coeffs, basis[i + 1:])
+    inv = {pc: coeffs for pc, _, coeffs in basis}
+    return {c: inv[c] for c in labels}
 
 
 def minimal_polynomial(a, labels):

@@ -4,14 +4,14 @@ Each is a plain function over the package's objects: direct evaluation of a
 functional word by word, the convolution inverse of the r-form, the antipode
 of an element, distinguished functionals, the adjoint action, right-ideal
 membership, the pairwise comatrix check, the letter legs of the
-materialised comatrix defect, the irreducible components of a descriptor
-and two R-matrix oracles.  Nothing in src/qfodc calls them; the tests
-compare the package's results against them.
+materialised comatrix defect, the irreducible components of a descriptor,
+two R-matrix oracles and the Gauss-Jordan inverse.  Nothing in src/qfodc
+calls them; the tests compare the package's results against them.
 """
 
 from qfodc import coordalg, dual, linalg, rmat
 from qfodc.coordalg import CoordElem, YoungWeight
-from qfodc.dual import Functional, _proportional, antipode_rep, conv, nested_label
+from qfodc.dual import Functional, antipode_rep, conv, nested_label
 from qfodc.scalar import ONE, ZERO
 
 
@@ -153,20 +153,14 @@ def comatrix_holds(ws, cor):
     """Delta(v^i_j) = sum_k v^i_k (x) v^k_j for every entry, decided on
     every pair of separating representations of length <= 2: each one is
     applied to the second leg of the defect, and every first-leg element
-    it leaves must vanish under separated_equal at length 2.  A leg that is
-    c times a leg already separated in its support group is skipped."""
-    separated = {}
+    it leaves must vanish under separated_equal at length 2."""
     for i in range(cor.dim):
         for j in range(cor.dim):
             defect = comatrix_defect(ws, cor, i, j)
             for _, rep in ws.separating_reps(2):
                 for leg in _defect_legs(defect, rep, 1):
-                    group = separated.setdefault(frozenset(leg), [])
-                    if any(_proportional(leg, done) for done in group):
-                        continue
                     if not ws.separated_equal(CoordElem(leg), CoordElem(), 2)[0]:
                         return False
-                    group.append(leg)
     return True
 
 
@@ -277,3 +271,49 @@ def check_inverse(r):
     """R R^{-1} = 1 on the pair labels."""
     prod = linalg.mat_mul(rmat._as_matrix(r.entries), rmat._as_matrix(r.inverse_entries))
     return linalg.mat_is_identity(prod, r.pair_labels())
+
+
+# -- linear algebra ----------------------------------------------------------
+
+def row_sub_scaled(row, coeff, other):
+    """row - coeff * other, dropping exact zeros."""
+    out = dict(row)
+    linalg.add_scaled(out, -coeff, other)
+    return out
+
+
+def gauss_jordan_inverse(a, labels):
+    """Exact inverse by Gauss-Jordan elimination, pivoting by column on the
+    lightest entry of the rows not yet used; raises ArithmeticError if
+    singular."""
+    labels = list(labels)
+    work = {r: dict(a.get(r, {})) for r in labels}
+    inv = {r: {r: ONE} for r in labels}
+    order = []
+    remaining = set(labels)
+    for col in labels:
+        piv = None
+        best = None
+        for r in remaining:
+            v = work[r].get(col)
+            if v is not None and not v.is_zero():
+                w = v.complexity()
+                if best is None or w < best:
+                    best, piv = w, r
+        if piv is None:
+            raise ArithmeticError("singular matrix")
+        remaining.discard(piv)
+        order.append((col, piv))
+        f = work[piv][col].inverse()
+        work[piv] = {c: f * v for c, v in work[piv].items()}
+        inv[piv] = {c: f * v for c, v in inv[piv].items()}
+        for r in labels:
+            if r == piv:
+                continue
+            v = work[r].get(col)
+            if v is None or v.is_zero():
+                continue
+            work[r] = row_sub_scaled(work[r], v, work[piv])
+            inv[r] = row_sub_scaled(inv[r], v, inv[piv])
+    # rows of the inverse follow the pivot permutation
+    return {col: inv[piv] for col, piv in order}

@@ -440,8 +440,7 @@ def _double_uc_entry_01(monkeypatch):
         cor = build(*args)
         entries = [list(row) for row in cor.entries]
         entries[0][1] = entries[0][1].scaled(Scalar.from_int(2))
-        return coordalg.Corep(entries, cor.label, frame=cor.frame,
-                              irreducible=cor.irreducible)
+        return coordalg.Corep(entries, cor.label)
 
     monkeypatch.setattr(coordalg, "contragredient", broken)
 

@@ -166,6 +166,17 @@ def test_minor_table_out_of_range(ws3):
         wsc.minor_table(2)
 
 
+def test_sp_minor_above_one_is_refused_by_the_descriptor(monkeypatch):
+    # the C-series limit k = 1 is the parser's: minor:2 on Sp_q(4) is
+    # refused before any exterior relation is derived
+    def derived(*args):
+        raise AssertionError("exterior relations derived")
+
+    monkeypatch.setattr(coordalg, "exterior_relations", derived)
+    with pytest.raises(InvalidDegreeError, match=r"out of range 1\.\.1$"):
+        Workspace(FieldConfig.sp(2)).corep("minor:2")
+
+
 def test_minor_coproduct_identity(ws3):
     # Delta(D^I_J) = sum_M D^I_M (x) D^M_J, decided by dual separation on
     # each tensor leg (it is false on the nose in the free algebra); the
@@ -180,7 +191,7 @@ def _double_entry_01(build):
         cor = build(*args)
         entries = [list(row) for row in cor.entries]
         entries[0][1] = entries[0][1].scaled(Scalar.from_int(2))
-        return Corep(entries, cor.label, frame=cor.frame, irreducible=cor.irreducible)
+        return Corep(entries, cor.label)
     return broken
 
 

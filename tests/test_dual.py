@@ -750,35 +750,6 @@ def test_generator_translates_match_all_suffixes_on_lie_bases(config, zetas):
 
 # -- comatrix check ----------------------------------------------------------
 
-WORDS = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
-    lambda xs: tuple((x, x) for x in xs))
-LEGS = st.dictionaries(WORDS, scalars(), min_size=2, max_size=4)
-
-
-@settings(deadline=None, max_examples=60)
-@given(leg=LEGS, c=scalars())
-def test_scaled_leg_is_proportional(leg, c):
-    assert dual._proportional({w: c * v for w, v in leg.items()}, leg)
-
-
-@settings(deadline=None, max_examples=60)
-@given(leg=LEGS, s=scalars(), data=st.data())
-def test_leg_with_one_coefficient_changed_is_not_proportional(leg, s, data):
-    # a[w] -> a[w] (1 + s) with 1 + s != 0, 1: the ratio to a is 1 on every
-    # other word of the (at least two-word) support and 1 + s on w
-    assume(not (ONE + s).is_zero())
-    w = data.draw(st.sampled_from(sorted(leg)))
-    changed = dict(leg)
-    changed[w] = leg[w] * (ONE + s)
-    assert not dual._proportional(changed, leg)
-    assert not dual._proportional(leg, changed)
-
-
-def test_legs_of_different_support_are_not_proportional():
-    a = {((1, 1),): ONE, ((2, 2),): ONE}
-    assert not dual._proportional(a, {((1, 1),): ONE, ((1, 2),): ONE})
-
-
 def _recording_separations(verdicts):
     """Patch Workspace.separated_equal to append each verdict it returns."""
     separated_equal = Workspace.separated_equal

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfodc import cli, dual, linalg
+from qfodc import cli, dual
 from qfodc.coordalg import YoungWeight
 from qfodc.dual import Functional, Workspace
 from qfodc.scalar import FieldConfig, ONE, Scalar
+
+from oracles import row_sub_scaled
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
 
@@ -74,8 +76,8 @@ def vanishing_combinations(fs, degree):
         for w, brow, bcombo in basis:
             v = row.get(w)
             if v is not None:
-                row = linalg.row_sub_scaled(row, v, brow)
-                combo = linalg.row_sub_scaled(combo, v, bcombo)
+                row = row_sub_scaled(row, v, brow)
+                combo = row_sub_scaled(combo, v, bcombo)
         if row:
             w = min(row)
             inv = row[w].inverse()

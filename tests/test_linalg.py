@@ -1,6 +1,7 @@
 """Differential tests: the cut rank certificate and the rank carried
-across word lengths against exact elimination, and forward elimination
-against exact reduced elimination."""
+across word lengths against exact elimination, forward elimination
+against exact reduced elimination, and the inverse by forward elimination
+and back-substitution against Gauss-Jordan."""
 
 import functools
 
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfodc import dual, linalg
+from qfodc.cyclotomic import Zeta
 from qfodc.dual import RankUnstableError, Workspace
 from qfodc.scalar import FieldConfig, ONE
 
+from oracles import gauss_jordan_inverse, row_sub_scaled
 from strategies import cyc_elems, scalars
 
 
@@ -25,7 +28,7 @@ def planted_rows(draw, elems, max_rows=5, keys=st.integers(0, 4)):
         acc = {}
         for r in base:
             if draw(st.booleans()):
-                acc = linalg.row_sub_scaled(acc, -draw(elems), r)
+                acc = row_sub_scaled(acc, -draw(elems), r)
         planted.append(acc)
     return base, planted
 
@@ -44,7 +47,7 @@ def reduced_echelon(rows):
         for i, (opc, orow) in enumerate(basis):
             v = orow.get(pc)
             if v is not None and not v.is_zero():
-                basis[i] = (opc, linalg.row_sub_scaled(orow, v, r))
+                basis[i] = (opc, row_sub_scaled(orow, v, r))
         basis.append((pc, r))
     return basis
 
@@ -176,3 +179,75 @@ def test_stabilized_rank_is_the_exact_rank_at_each_degree(rows, d_max):
     with pytest.raises(RankUnstableError) as exc:
         workspace(d_max).stabilized_rank(lambda d: cut(rows, d))
     assert str(exc.value).endswith(str(ranks))
+
+
+@st.composite
+def square_matrices(draw, elems):
+    """A sparse n x n matrix on the labels 0..n-1, n <= 4, its labels and
+    whether it is planted singular: in half the draws one row is replaced by
+    a combination of the others."""
+    labels = list(range(draw(st.integers(1, 4))))
+    rows = [draw(st.dictionaries(st.sampled_from(labels), elems, max_size=len(labels)))
+            for _ in labels]
+    planted = draw(st.booleans())
+    if planted:
+        k = draw(st.sampled_from(labels))
+        acc = {}
+        for r, row in enumerate(rows):
+            if r != k and draw(st.booleans()):
+                acc = row_sub_scaled(acc, -draw(elems), row)
+        rows[k] = acc
+    return {r: row for r, row in enumerate(rows) if row}, labels, planted
+
+
+def check_inverse(a, labels):
+    """mat_inverse and the Gauss-Jordan reference give the same inverse,
+    and it inverts a, or both raise ArithmeticError."""
+    results = []
+    for inverse in (linalg.mat_inverse, gauss_jordan_inverse):
+        try:
+            results.append(inverse(a, labels))
+        except ArithmeticError:
+            results.append(None)
+    got, want = results
+    assert got == want
+    if got is not None:
+        assert linalg.mat_is_identity(linalg.mat_mul(got, a), labels)
+    return got
+
+
+@settings(deadline=None, max_examples=100)
+@given(square_matrices(scalars()))
+def test_inverse_matches_gauss_jordan(case):
+    a, labels, planted = case
+    inv = check_inverse(a, labels)
+    if planted:
+        assert inv is None
+
+
+@pytest.mark.parametrize("config, zeta", [
+    (FieldConfig.sl(2), None),
+    (FieldConfig.sl(3), None),
+    (FieldConfig.sl(4), None),
+    (FieldConfig.sp(2), None),
+    (FieldConfig.sl(3), Zeta(3, 1)),
+])
+def test_inverse_of_antipode_blocks(config, zeta, monkeypatch):
+    # the generator block matrices that antipode_rep inverts: L+ and L- or,
+    # with a zeta, the twist character eps_zeta over Q(p)[x]/Phi_3
+    ws = Workspace(config)
+    reps = [ws.lplus, ws.lminus] if zeta is None else [dual.eps_zeta_rep(config, zeta)]
+    blocks = []
+    inverse = linalg.mat_inverse
+
+    def recorded(a, labels):
+        blocks.append((a, labels))
+        return inverse(a, labels)
+
+    monkeypatch.setattr(linalg, "mat_inverse", recorded)
+    for rep in reps:
+        dual.antipode_rep(rep, config)
+    monkeypatch.undo()
+    assert len(blocks) == len(reps)
+    for a, labels in blocks:
+        assert check_inverse(a, labels) is not None
