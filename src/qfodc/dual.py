@@ -516,11 +516,6 @@ class Workspace:
                     total = total + c1 * c2 * v
         return total
 
-    def r_form(self, a, b):
-        """The universal r-form extended to word pairs by the bicharacter
-        axioms (with the leg-order reversal in the second slot)."""
-        return self._pairing(self.lplus, a, b)
-
     def q_form(self, a, b):
         """q(a (x) b) = r(b1 (x) a1) r(a2 (x) b2), the factorizability form."""
         total = ZERO
@@ -620,20 +615,21 @@ class Workspace:
         return cands
 
     def _antipode_axiom_holds(self, tab):
+        """sum_k S(u^i_k) u^k_j = delta_ij for all i, j, decided by dual
+        separation.  The mirrored identity sum_k u^i_k S(u^k_j) = delta_ij
+        is not checked: it never changes a verdict.  A separating
+        representation rho of dimension d is multiplicative on words, so
+        the checked identity says A B = I for the square N*d block matrices
+        A = [rho(S(u^i_k))] and B = [rho(u^k_j)] over a field; then B A = I,
+        which is the mirrored identity under rho."""
         N = self.N
         unit = CoordElem.unit()
-        zero = CoordElem()
         for i in range(1, N + 1):
             for j in range(1, N + 1):
-                want = unit if i == j else zero
                 left = CoordElem()
-                right = CoordElem()
                 for k in range(1, N + 1):
                     left = left + tab[i - 1][k - 1] * CoordElem.generator(k, j)
-                    right = right + CoordElem.generator(i, k) * tab[k - 1][j - 1]
-                if not self.separated_equal(left, want)[0]:
-                    return False
-                if not self.separated_equal(right, want)[0]:
+                if not self.separated_equal(left, unit if i == j else CoordElem())[0]:
                     return False
         return True
 

@@ -182,23 +182,21 @@ class Calculus:
 # ---------------------------------------------------------------------------
 
 def d_inverse_matrix(ws, v):
-    """(D^{-1})^j_i = r(S^2(v^j_n) (x) v^n_i), an exact m x m matrix."""
+    """(D^{-1})^j_i = r(S^2(v^j_n) (x) v^n_i), an exact m x m matrix.
+
+    Since l+[v]^n_i = r(. (x) v^n_i), the entry is sum_n S^2(l+[v]^n_i)
+    (v^j_n): each antipode_rep transposes the indices, so entry [n][i] of
+    antipode_rep applied twice to L+[v] is l+[v]^n_i o S^2, read here on
+    the words of v^j_n.
+    """
     m = v.dim
-    tab = ws.antipode_table()
-    s2 = [
-        [coordalg.apply_antipode(coordalg.apply_antipode(v.entries[i][j], tab), tab)
-         for j in range(m)]
-        for i in range(m)
-    ]
-    out = []
+    s2 = dual.antipode_rep(dual.antipode_rep(ws.l_corep(ws.lplus, v), ws.config), ws.config)
+    out = [[ZERO] * m for _ in range(m)]
     for j in range(m):
-        row = []
-        for i in range(m):
-            total = ZERO
-            for n in range(m):
-                total = total + ws.r_form(s2[j][n], v.entries[n][i])
-            row.append(total)
-        out.append(row)
+        for n in range(m):
+            for w, c in v.entries[j][n].terms.items():
+                for i, val in s2.word_matrix(w).get(n + 1, {}).items():
+                    out[j][i - 1] = out[j][i - 1] + c * val
     return out
 
 
@@ -208,7 +206,8 @@ def central_label(v, zeta):
 
 
 def central_element(ws, v, zeta):
-    """c_zeta(v) = sum_ij eps_zeta l(v^i_j) (D^{-1})^j_i."""
+    """c_zeta(v) = sum_ij eps_zeta l(v^i_j) (D^{-1})^j_i, with D^{-1} from
+    d_inverse_matrix; every term lives in twisted_rep(v, zeta)."""
     dinv = d_inverse_matrix(ws, v)
     xrep = ws.twisted_rep(v, zeta)
     terms = []

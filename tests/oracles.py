@@ -1,8 +1,9 @@
 """Reference helpers that only the tests call.
 
 Each is a plain function over the package's objects: direct evaluation of a
-functional word by word, the convolution inverse of the r-form, the antipode
-of an element, distinguished functionals, the adjoint action, right-ideal
+functional word by word, the r-form and its convolution inverse, the antipode
+of an element, the two-sided antipode axiom, D^{-1} through the coordinate
+antipode, distinguished functionals, the adjoint action, right-ideal
 membership, the pairwise comatrix check, the letter legs of the
 materialised comatrix defect, the irreducible components of a descriptor,
 two R-matrix oracles and the Gauss-Jordan inverse.  Nothing in src/qfodc
@@ -43,6 +44,12 @@ def evaluate(f, elem):
 
 # -- the workspace's forms, antipode and distinguished functionals -----------
 
+def r_form(ws, a, b):
+    """The universal r-form extended to word pairs by the bicharacter
+    axioms (with the leg-order reversal in the second slot)."""
+    return ws._pairing(ws.lplus, a, b)
+
+
 def rbar_form(ws, a, b):
     """Convolution inverse of the r-form, extended from R^{-1} by the
     inverse bicharacter axioms (degree-preserving; agrees with
@@ -53,6 +60,49 @@ def rbar_form(ws, a, b):
 def antipode(ws, a):
     """S(a) by the workspace's oracle-pinned generator table."""
     return coordalg.apply_antipode(a, ws.antipode_table())
+
+
+def antipode_axiom_holds_both_sides(ws, tab):
+    """Both antipode identities sum_k S(u^i_k) u^k_j = delta_ij and
+    sum_k u^i_k S(u^k_j) = delta_ij, each decided by dual separation."""
+    N = ws.N
+    unit = CoordElem.unit()
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            want = unit if i == j else CoordElem()
+            left = CoordElem()
+            right = CoordElem()
+            for k in range(1, N + 1):
+                left = left + tab[i - 1][k - 1] * CoordElem.generator(k, j)
+                right = right + CoordElem.generator(i, k) * tab[k - 1][j - 1]
+            if not ws.separated_equal(left, want)[0]:
+                return False
+            if not ws.separated_equal(right, want)[0]:
+                return False
+    return True
+
+
+def d_inverse_by_coordinates(ws, v):
+    """(D^{-1})^j_i = r(S^2(v^j_n) (x) v^n_i), with S^2 of each entry
+    expanded in the coordinate algebra by the generator antipode table and
+    paired by the r-form."""
+    m = v.dim
+    tab = ws.antipode_table()
+    s2 = [
+        [coordalg.apply_antipode(coordalg.apply_antipode(v.entries[i][j], tab), tab)
+         for j in range(m)]
+        for i in range(m)
+    ]
+    out = []
+    for j in range(m):
+        row = []
+        for i in range(m):
+            total = ZERO
+            for n in range(m):
+                total = total + r_form(ws, s2[j][n], v.entries[n][i])
+            row.append(total)
+        out.append(row)
+    return out
 
 
 def principal_minor(ws, k):

@@ -225,6 +225,32 @@ def test_classify_from_central(capsys):
     assert data["components"][0]["frame"] == "[1]"
 
 
+def test_central_element_needs_no_coordinate_antipode(monkeypatch, capsys):
+    # D^{-1} is read off S^2(l+[v]) on the dual side, so neither command
+    # builds the generator antipode table
+    def refuse(self):
+        raise AssertionError("the central element built the antipode table")
+
+    monkeypatch.setattr(dual.Workspace, "antipode_table", refuse)
+    for argv in ("verify --series sl --n 3 --claim centrality --zeta=w",
+                 "classify --series sl --n 2 --central u --zeta=-1"):
+        rc, _ = run(capsys, *argv.split())
+        assert rc == 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --series sl --n 5 --claim centrality",
+    "verify --series sl --n 4 --claim centrality --corep minor:2",
+    "verify --series sl --n 4 --claim centrality --corep uc",
+])
+def test_large_centrality_inputs_finish(argv, capsys):
+    # S^2 of these coreps' entries is too large to expand in the coordinate
+    # algebra, so each finishes only with D^{-1} read on the dual side
+    rc, out = run(capsys, *argv.split())
+    assert rc == 0
+    assert json.loads(out)["status"] == "pass"
+
+
 @pytest.mark.parametrize("source", ["--corep=dsum(1,u)", "--central=u"])
 def test_classify_certifies_at_the_given_degree(source, capsys):
     # the candidates and the coideal check are evaluated at --degree too,
@@ -465,7 +491,7 @@ def _lower_lplus_entry(monkeypatch):
      "classify --series sl --n 2 --central u --zeta=-1", "not central"),
     (lambda mp: mp.setattr(dual.Workspace, "_antipode_axiom_holds",
                            lambda self, tab: False),
-     "classify --series sl --n 2 --central u --zeta=-1", "antipode"),
+     "build --series sl --n 2 --corep uc", "antipode"),
     (lambda mp: mp.setattr(rmat, "_monomial_roots", lambda coeffs, bound: []),
      "build --series sl --n 2 --corep proj:sym(tensor(u,u))", "monomial roots"),
     (_lower_lplus_entry, "verify --series sl --n 2 --claim minor-tau", "characters"),

@@ -26,12 +26,14 @@ from oracles import (
     UnsupportedFunctionalError,
     ad_r,
     antipode,
+    antipode_axiom_holds_both_sides,
     comatrix_holds,
     evaluate,
     k_alpha_functional,
     k_functional,
     letter_legs,
     principal_minor,
+    r_form,
     rbar_form,
 )
 from strategies import cyc_elems, scalars
@@ -265,8 +267,8 @@ def test_r_form_unit_laws(ws2):
     rng = random.Random(3)
     for _ in range(10):
         b = CoordElem.from_word(rand_word(rng, 2, 2))
-        assert ws2.r_form(CoordElem.unit(), b) == b.counit()
-        assert ws2.r_form(b, CoordElem.unit()) == b.counit()
+        assert r_form(ws2, CoordElem.unit(), b) == b.counit()
+        assert r_form(ws2, b, CoordElem.unit()) == b.counit()
 
 
 def test_r_form_generator_values(ws2):
@@ -277,9 +279,9 @@ def test_r_form_generator_values(ws2):
         for j in range(1, 3):
             for n in range(1, 3):
                 for m in range(1, 3):
-                    got = ws2.r_form(g(i, j), g(n, m))
+                    got = r_form(ws2, g(i, j), g(n, m))
                     assert got == z * ws2.rdata.entries.get((i, n, j, m), ZERO)
-    assert ws2.r_form(g(2, 1), g(1, 2)) == z * lam
+    assert r_form(ws2, g(2, 1), g(1, 2)) == z * lam
 
 
 def test_r_form_bicharacter_axioms(ws2):
@@ -333,7 +335,7 @@ def test_rbar_agrees_with_antipode_composition(ws2):
         wb = rand_word(rng, 2, 2)
         a = CoordElem.from_word(wa)
         b = CoordElem.from_word(wb)
-        assert rbar_form(ws2, a, b) == ws2.r_form(antipode(ws2, a), b)
+        assert rbar_form(ws2, a, b) == r_form(ws2, antipode(ws2, a), b)
 
 
 # -- q-form and l-functionals --------------------------------------------------
@@ -636,6 +638,26 @@ def test_separated_equal_antipode_axiom(ws2):
     for k in range(1, 3):
         total = total + tab[0][k - 1] * g(k, 1)
     assert ws2.separated_equal(total, CoordElem.unit())[0]
+
+
+@pytest.mark.parametrize("config", [
+    FieldConfig.sl(2), FieldConfig.sl(3), FieldConfig.sl(4),
+    FieldConfig.sp(1), FieldConfig.sp(2),
+], ids=["sl2", "sl3", "sl4", "sp2", "sp4"])
+def test_one_sided_antipode_axiom_matches_both_sides(config):
+    # the mirrored identity never changes a verdict: under a separating
+    # representation the one-sided identity says A B = I for square matrices
+    ws = Workspace(config)
+    verdicts = []
+    for tab in ws._antipode_candidates():
+        verdict = ws._antipode_axiom_holds(tab)
+        assert verdict == antipode_axiom_holds_both_sides(ws, tab)
+        verdicts.append(verdict)
+    assert verdicts.count(True) == 1
+    tab = [list(row) for row in ws.antipode_table()]
+    tab[0][0] = tab[0][0].scaled(Scalar.from_int(2))
+    assert not ws._antipode_axiom_holds(tab)
+    assert not antipode_axiom_holds_both_sides(ws, tab)
 
 
 def test_separated_equal_detects_inequality(ws2):

@@ -230,6 +230,24 @@ def test_d_inverse_trivial(ws2):
     assert dinv == [[ONE]]
 
 
+_SYM = "proj:sym(tensor(u,u))"
+_ANTI = "proj:anti(tensor(u,u))"
+
+
+@pytest.mark.parametrize("config, descriptors", [
+    (FieldConfig.sl(2), ["1", "u", "dsum(1,u)", "tensor(u,u)", "uc", _SYM, _ANTI]),
+    (FieldConfig.sl(3), ["1", "u", "dsum(1,u)", "tensor(u,u)", "uc", _SYM, _ANTI, "minor:2"]),
+    (FieldConfig.sp(2), ["u", "uc", _SYM]),
+], ids=["sl2", "sl3", "sp4"])
+def test_d_inverse_matches_the_coordinate_antipode(config, descriptors):
+    # S^2(l+[v]) read on v's entries against S^2 of the entries expanded by
+    # the generator antipode table and paired by the r-form
+    ws = Workspace(config)
+    for desc in descriptors:
+        v = ws.corep(desc)
+        assert fodc.d_inverse_matrix(ws, v) == oracles.d_inverse_by_coordinates(ws, v), desc
+
+
 def test_central_element_of_trivial_is_eps_zeta(ws2):
     z = Zeta(2, 1)
     c = fodc.central_element(ws2, ws2.corep("1"), z)
