@@ -168,7 +168,7 @@ def check_out(path):
 
 def cmd_build(args, ws, zeta):
     v = ws.corep(args.corep)
-    lie = fodc.quantum_lie(ws, v, zeta)
+    lie = fodc.quantum_lie(ws, v, zeta, zeta)
     payload = {
         "command": "build",
         "config": str(ws.config),
@@ -192,21 +192,22 @@ def cmd_classify(args, ws, zeta):
         descriptor = f"central c_{zeta}({args.central})"
     elif args.corep:
         v = ws.corep(args.corep)
-        lie = fodc.QuantumLieAlgebra(ws, v, zeta)
+        lie = fodc.QuantumLieAlgebra(ws, v, zeta, zeta)
         basis, rows = lie.basis, lie.rows(degree)
         descriptor = f"X_{zeta}({args.corep})"
     else:
         raise UnsupportedConfigError("classify needs --corep or --central")
     report = fodc.classify(ws, rows, descriptor, degree=degree,
-                           frame_bound=args.frame_bound, basis=basis)
+                           frame_bound=args.frame_bound, basis=basis, gauge=zeta)
     report.central_label = fodc.central_label(v, zeta)
     payload = json.loads(report.to_json())
     payload["command"] = "classify"
-    return emit(args, payload, 0 if report.residual_rank == 0 else 1)
+    ok = report.residual_rank == 0 and report.coideal_ok
+    return emit(args, payload, 0 if ok else 1)
 
 
 def cmd_report(args, ws, zeta):
-    lie = fodc.quantum_lie(ws, ws.corep(args.corep), zeta)
+    lie = fodc.quantum_lie(ws, ws.corep(args.corep), zeta, zeta)
     ok_coideal, cdeg = lie.coideal_certificate()
     payload = {
         "command": "report",

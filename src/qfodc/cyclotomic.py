@@ -10,7 +10,7 @@ transcendental extension Q(p), so every nonzero element is invertible.
 
 from __future__ import annotations
 
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _lcm
 
 from .scalar import (
     ONE, Scalar, _UNIT, _addmul_into, _cancel, _memo, _memo_table, _pmul,
@@ -321,11 +321,25 @@ class Zeta:
         return self.order == 1
 
     def power_value(self, m):
-        """zeta^m as a Scalar or CycElem."""
+        """zeta^m as a Scalar or CycElem; m may be negative.  It is the
+        object ONE where zeta^m = 1, so a caller can skip the multiply."""
+        if m % self.order == 0:
+            return ONE
         ring = self.ring
         v = ring.root_power(self.index * m * (ring.order // self.order))
         rat = v.rational_part()
         return v if rat is None else rat
+
+    def inverse(self):
+        """zeta^-1, its values in the same ring."""
+        return Zeta(self.order, -self.index, self.ring.order)
+
+    def __truediv__(self, other):
+        """self / other.  Its values live in the ring whose order is the lcm
+        of both rings' orders: the configuration's ring when both twists
+        come from one configuration."""
+        n = _lcm(self.ring.order, other.ring.order)
+        return Zeta(n, self.index * (n // self.order) - other.index * (n // other.order), n)
 
     def __eq__(self, other):
         return (
@@ -347,6 +361,9 @@ class Zeta:
         return f"zeta{self.order}^{self.index}"
 
     __repr__ = __str__
+
+
+TRIVIAL = Zeta(1, 0)
 
 
 def admissible_zeta(config, root_order, power=1):

@@ -26,6 +26,7 @@ from math import comb
 
 from . import coordalg, linalg, rmat
 from .coordalg import CoordElem
+from .cyclotomic import TRIVIAL
 from .scalar import ONE, Scalar, UnsupportedConfigError, ZERO
 
 
@@ -384,15 +385,17 @@ def all_words(N, degree):
     return out
 
 
-def eps_word_values(degree, N):
-    """The counit as a word-value dict (1 on words with all i = j)."""
+def eps_word_values(degree, N, zeta=TRIVIAL):
+    """The character eps_zeta as a word-value dict: zeta^|w| on the words
+    with all i = j, and so 1 there for the counit (zeta = 1)."""
     out = {(): ONE}
     diag = [(i, i) for i in range(1, N + 1)]
     layer = [()]
-    for _ in range(degree):
+    for t in range(1, degree + 1):
+        v = zeta.power_value(t)
         layer = [w + (g,) for w in layer for g in diag]
         for w in layer:
-            out[w] = ONE
+            out[w] = v
     return out
 
 
@@ -459,6 +462,14 @@ class Workspace:
 
     def eps_functional(self):
         return Functional([(self._eps, 0, 0, ONE)], "eps")
+
+    def eps_zeta(self, zeta):
+        """The character eps_zeta as a Functional: the counit for zeta = 1,
+        else the entry of an eps_zeta_rep cached per zeta."""
+        if zeta.is_one():
+            return self.eps_functional()
+        rep = self._cached(("eps", zeta, zeta.ring.order), eps_zeta_rep, self.config, zeta)
+        return Functional([(rep, 0, 0, ONE)], rep.name)
 
     def power(self, base, k):
         """conv_power(base, k), cached per (base, k)."""
@@ -785,12 +796,6 @@ class Workspace:
             return conv(srep, self.l_corep(self.lplus, v), name=f"M[{v.label}]")
         return self._cached(("m", v), build)
 
-    def twisted_rep(self, v, zeta):
-        """conv(eps_zeta, mrep(v)): houses all eps_zeta l(v^i_j)."""
-        return self._cached(("x", v, zeta), lambda: conv(
-            eps_zeta_rep(self.config, zeta), self.mrep(v), name=f"X[{zeta};{v.label}]"
-        ))
-
     def l_entry(self, v, i, j):
         """l(v^i_j) = sum_k S(l-[v]^i_k) l+[v]^k_j as a Functional."""
         m = self.mrep(v)
@@ -956,13 +961,33 @@ class Workspace:
             layer = kept
         return True, degree
 
-    def coideal_check(self, basis, degree=None):
+    def coideal_check(self, basis, degree=None, gauge=TRIVIAL):
         """Bicovariance certificate for span(basis) + C eps on words of
         degree <= degree: the conjunction of _right_coideal (right translates
         stay in the span) and _ad_invariant (ad_R by every l+/l- generator
-        entry maps the basis into the span).  Returns (ok, degree)."""
+        entry maps the basis into the span).  Returns (ok, degree).
+
+        The basis is given in the gauge of the root of unity `gauge`: each
+        functional is eps_{gauge^-1} * X for the X it stands for, and eps
+        stands as eps_{gauge^-1}.  That convolution multiplies the value on
+        a word w by gauge^-|w|, an invertible diagonal map, so it keeps
+        every span membership.  eps_{gauge^-1} is a central character, so
+        ad_R(f) commutes with it, and it maps the translate X(. g) to
+        gauge times the translate of the gauged X.  Both certificates
+        therefore decide the same in every gauge; the default is the
+        identity.
+
+        The terms of a basis functional housed in eps_{gauge^-1} itself are
+        dropped first.  They are multiples of eps, which is in the span, and
+        ad_R(f) and the translates map eps_{gauge^-1} to multiples of
+        itself, so neither verdict changes.  In the gauge of zeta the basis
+        of X_zeta(v) is then l(v^i_j) over Q(p), and the eps row is the one
+        cyclotomic row."""
         degree = positive_or_default(degree, CHECK_DEGREE, "degree")
-        rows = word_values(basis, degree) + [eps_word_values(degree, self.N)]
+        inv = gauge.inverse()
+        eps_rep = self.eps_zeta(inv).terms[0][0]
+        basis = [Functional([t for t in x.terms if t[0] is not eps_rep], x.label) for x in basis]
+        rows = word_values(basis, degree) + [eps_word_values(degree, self.N, inv)]
         ok = self._right_coideal(rows, degree) and self._ad_invariant(basis, rows, degree)
         return ok, degree
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import coordalg, dual, linalg
 from .coordalg import CoordElem, YoungWeight
-from .cyclotomic import Zeta, all_admissible
+from .cyclotomic import TRIVIAL, Zeta, all_admissible
 from .dual import Functional, eps_word_values
 # iter_word_states is not used here: the benchmark's tracer self-test
 # (perfbench/tests) checks that the tracer rebinds this alias
@@ -39,53 +39,69 @@ class NotDirectError(ValueError):
 # quantum Lie algebras
 # ---------------------------------------------------------------------------
 
-def lie_rows(ws, v, zeta, degree):
-    """Evaluation rows of all X_ij on words of degree <= degree.
+def twisted(ws, zeta, f):
+    """eps_zeta * f, housed in the conv of eps_zeta's 1x1 representation
+    with f's; f itself when zeta = 1."""
+    return f if zeta.is_one() else ws.convolve(ws.eps_zeta(zeta), f)
+
+
+def lie_rows(ws, v, zeta, degree, gauge=TRIVIAL):
+    """Evaluation rows of all X_ij on words of degree <= degree, in the
+    gauge of `gauge`: the rows of eps_{gauge^-1} * X_ij, whose value on a
+    word w is gauge^-|w| X_ij(w).  The default gauge 1 gives the X_ij.
 
     One base-field traversal of mrep(v) serves every X_ij: its column rows
-    are graded in place by the twist character's factor zeta^{deg w}, and
-    the counit is subtracted on the diagonal.  Returns {(i, j): {word:
-    value}} with 0-based entry indices.
+    are graded in place by (zeta / gauge)^|w|, with no multiply on the
+    lengths where that factor is one, and eps_{gauge^-1} is subtracted on
+    the diagonal.  In the gauge of zeta the rows are those of
+    l(v^i_j) - delta_ij eps_{zeta^-1}: over Q(p) but for the subtracted
+    character.  Returns {(i, j): {word: value}} with 0-based entry indices.
     """
     x0 = {(k, k): ONE for k in range(1, v.dim + 1)}
     cols = dual.column_values(ws.mrep(v), x0, degree)
-    zpow = [zeta.power_value(t) for t in range(degree + 1)]
-    eps_tab = eps_word_values(degree, ws.N)
+    grade = zeta / gauge
+    zpow = [grade.power_value(t) for t in range(degree + 1)]
+    eps_tab = eps_word_values(degree, ws.N, gauge.inverse())
     rows = {}
     for i in range(v.dim):
         for j in range(v.dim):
             row = rows[(i, j)] = cols.get((i + 1, j + 1), {})
             for w, val in row.items():
-                row[w] = zpow[len(w)] * val
+                z = zpow[len(w)]
+                if z is not ONE:
+                    row[w] = z * val
             if i == j:
                 linalg.add_scaled(row, MINUS_ONE, eps_tab)
     return rows
 
 
 class QuantumLieAlgebra:
-    """Span of the functionals X_ij = eps_zeta l(v^i_j) - delta_ij eps."""
+    """Span of the functionals X_ij = eps_zeta l(v^i_j) - delta_ij eps, held
+    in the gauge of `gauge`: basis and rows are those of eps_{gauge^-1} *
+    X_ij (lie_rows).  No rank, span membership or coideal verdict depends
+    on the gauge.  In the gauge of zeta, as the CLI and the claims hold it,
+    the basis is l(v^i_j) - delta_ij eps_{zeta^-1}, housed in mrep(v) over
+    Q(p) but for the character; the default gauge 1 gives the X_ij."""
 
-    def __init__(self, ws, v, zeta):
+    def __init__(self, ws, v, zeta, gauge=TRIVIAL):
         self.ws = ws
         self.corep = v
         self.zeta = zeta
-        self.xrep = ws.twisted_rep(v, zeta)
+        self.gauge = gauge
+        grade = zeta / gauge
+        eps_g = ws.eps_zeta(gauge.inverse())
         self.basis = []
-        eps_f = ws.eps_functional()
         for i in range(v.dim):
             for j in range(v.dim):
-                terms = [
-                    (self.xrep, (0, (k, k)), (0, (i + 1, j + 1)), ONE)
-                    for k in range(1, v.dim + 1)
-                ]
+                x = twisted(ws, grade, ws.l_entry(v, i, j))
                 if i == j:
-                    terms += [(t[0], t[1], t[2], -t[3]) for t in eps_f.terms]
-                self.basis.append(Functional(terms, f"X[{i + 1},{j + 1}]"))
+                    x = x - eps_g
+                self.basis.append(Functional(x.terms, f"X[{i + 1},{j + 1}]"))
         self.certified_dim = None
         self.cert_degree = None
 
     def rows(self, degree):
-        return list(lie_rows(self.ws, self.corep, self.zeta, degree).values())
+        return list(lie_rows(self.ws, self.corep, self.zeta, degree, self.gauge).values())
 
     def certify_dim(self):
         """Stabilized rank of {X_ij}; also records rank({X_ij} + {eps})."""
@@ -100,11 +116,11 @@ class QuantumLieAlgebra:
 
     def coideal_certificate(self, degree=None):
         basis = [x for x in self.basis if x.terms]
-        return self.ws.coideal_check(basis, degree)
+        return self.ws.coideal_check(basis, degree, self.gauge)
 
 
-def quantum_lie(ws, v, zeta):
-    lie = QuantumLieAlgebra(ws, v, zeta)
+def quantum_lie(ws, v, zeta, gauge=TRIVIAL):
+    lie = QuantumLieAlgebra(ws, v, zeta, gauge)
     lie.certify_dim()
     return lie
 
@@ -147,16 +163,19 @@ class Calculus:
         return out
 
     def right_action_on_form(self, key, b):
-        """theta_key * b = sum_J b_(1) F^key_J(b_(2)) theta_J."""
+        """theta_key * b = sum_J b_(1) F^key_J(b_(2)) theta_J, where F is
+        eps_zeta * mrep(v): mrep(v)'s value on b_(2), times zeta^|b_(2)|."""
         N = self.ws.N
-        rep = self.lie.xrep
+        rep = self.ws.mrep(self.corep)
         out = {}
         for (b1, b2), c in coordalg.coproduct(b, N).items():
-            mat = rep.word_matrix(b2)
-            row = mat.get((0, (key[0] + 1, key[1] + 1)))
+            row = rep.word_matrix(b2).get((key[0] + 1, key[1] + 1))
             if not row:
                 continue
-            for (_, (k, l)), v in row.items():
+            z = self.zeta.power_value(len(b2))
+            if z is not ONE:
+                c = c * z
+            for (k, l), v in row.items():
                 tgt = (k - 1, l - 1)
                 cur = out.get(tgt, CoordElem())
                 out[tgt] = cur + CoordElem.from_word(b1, c * v)
@@ -207,9 +226,10 @@ def central_label(v, zeta):
 
 def central_element(ws, v, zeta):
     """c_zeta(v) = sum_ij eps_zeta l(v^i_j) (D^{-1})^j_i, with D^{-1} from
-    d_inverse_matrix; every term lives in twisted_rep(v, zeta)."""
+    d_inverse_matrix: eps_zeta * c_1(v), c_1(v) housed in mrep(v).  In the
+    gauge of zeta c_zeta(v) is c_1(v)."""
     dinv = d_inverse_matrix(ws, v)
-    xrep = ws.twisted_rep(v, zeta)
+    m = ws.mrep(v)
     terms = []
     for i in range(v.dim):
         for j in range(v.dim):
@@ -217,8 +237,8 @@ def central_element(ws, v, zeta):
             if c.is_zero():
                 continue
             for k in range(1, v.dim + 1):
-                terms.append((xrep, (0, (k, k)), (0, (i + 1, j + 1)), c))
-    return Functional(terms, central_label(v, zeta))
+                terms.append((m, (k, k), (i + 1, j + 1), c))
+    return Functional(twisted(ws, zeta, Functional(terms)).terms, central_label(v, zeta))
 
 
 def convolution_values(ws, combos, degree):
@@ -247,7 +267,7 @@ def is_central(ws, c, degree=dual.CHECK_DEGREE):
     return not any(rows)
 
 
-def quantum_lie_from_central(ws, c):
+def quantum_lie_from_central(ws, c, gauge=TRIVIAL):
     """Basis of span{chi_b = c(. b) - c(b) eps : b words}, by exact rank.
 
     The right translates chi_b of the central element, for b in all_words
@@ -255,18 +275,23 @@ def quantum_lie_from_central(ws, c):
     batched call, and a translate is kept when its row is independent of
     the rows kept before it.  The kept translates are returned,
     MatRep-housed.
+
+    c may be given in the gauge of `gauge` (see QuantumLieAlgebra); the
+    translates are then c(. b) - c(b) eps_{gauge^-1}, the gauged chi_b each
+    divided by gauge^|b|, so the same words b are kept.
     """
     degree = dual.CHECK_DEGREE
     if not is_central(ws, c, degree):
         raise NotCentralError("functional is not central")
-    chis = [_right_translate(ws, c, b) for b in dual.all_words(ws.N, degree)]
+    eps_g = ws.eps_zeta(gauge.inverse())
+    chis = [_right_translate(c, b, eps_g) for b in dual.all_words(ws.N, degree)]
     basis = []
     # one reduction per translate decides membership and extends the basis
     return [chi for chi, row in zip(chis, dual.word_values(chis, degree))
             if linalg.extend(basis, row)]
 
 
-def _right_translate(ws, c, b):
+def _right_translate(c, b, eps):
     """chi_b = c(. b) - c(b) eps as a MatRep-housed functional; c(b) is the
     value of c(. b) at the unit."""
     terms = []
@@ -279,14 +304,15 @@ def _right_translate(ws, c, b):
     f = Functional(terms, f"chi[{coordalg.word_str(b)}]")
     cb = f.value_at_unit()
     if not cb.is_zero():
-        f = f - ws.eps_functional().scaled(cb)
+        f = f - eps.scaled(cb)
     return f
 
 
 def central_span(ws, v, zeta, degree):
     """The right translates of c_zeta(v) that span its quantum Lie algebra,
-    and their word values on words of degree <= degree."""
-    gens = quantum_lie_from_central(ws, central_element(ws, v, zeta))
+    and their word values on words of degree <= degree, both in the gauge
+    of zeta, where c_zeta(v) is c_1(v)."""
+    gens = quantum_lie_from_central(ws, central_element(ws, v, TRIVIAL), zeta)
     return gens, dual.word_values(gens, degree)
 
 
@@ -394,17 +420,21 @@ def candidate_library(ws, frame_bound=2):
     return out
 
 
-def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None):
+def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None,
+             gauge=TRIVIAL):
     """Greedy matching of a quantum Lie algebra span against the candidate
     component library; reports leftover rank when the library is too small.
     Candidates and the coideal check are evaluated at degree, which should
-    be the degree of rows (default CHECK_DEGREE).
+    be the degree of rows (default CHECK_DEGREE).  rows and basis are given
+    in the gauge of `gauge` (see QuantumLieAlgebra), and each candidate is
+    read in the same gauge: X_zeta'(v) as lie_rows(ws, v, zeta', degree,
+    gauge), twisted by zeta' / gauge, with eps as eps_{gauge^-1}.
     """
     degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     rows = [r for r in rows if r]
     coideal_ok = True
     if basis:
-        coideal_ok, _ = ws.coideal_check([x for x in basis if x.terms], degree)
+        coideal_ok, _ = ws.coideal_check([x for x in basis if x.terms], degree, gauge)
     big = linalg.echelon(rows)
     total = len(big)
     candidates = []
@@ -418,7 +448,7 @@ def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None):
     found = []
     found_echelon = []
     for dim2, _, frame, zeta, v in candidates:
-        cand_rows = [r for r in lie_rows(ws, v, zeta, degree).values() if r]
+        cand_rows = [r for r in lie_rows(ws, v, zeta, degree, gauge).values() if r]
         if not all(linalg.in_row_space(big, r) for r in cand_rows):
             continue
         merged = list(found_echelon)
@@ -439,9 +469,6 @@ def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None):
 # default degree); run_claim refuses an option the claim does not read
 # ---------------------------------------------------------------------------
 
-TRIVIAL = Zeta(1, 0)
-
-
 def verify_minor_tau(ws, degree=None):
     """l(D_k) = tau_k for the (1,1) L-entry of each fundamental minor D_k."""
     degree = dual.positive_or_default(degree, 4, "degree")
@@ -458,13 +485,19 @@ def verify_minor_tau(ws, degree=None):
 
 
 def verify_centrality(ws, zeta=TRIVIAL, corep="u", degree=None):
-    """c_zeta(v) is central and c - c(1) eps is a nonzero element of X_zeta(v)."""
+    """c_zeta(v) is central and c - c(1) eps is a nonzero element of X_zeta(v).
+
+    All three are decided in the gauge of zeta (see QuantumLieAlgebra),
+    where c_zeta(v) is c_1(v), eps is eps_{zeta^-1} and X_zeta(v) has the
+    rows lie_rows(ws, v, zeta, degree, zeta).  c_zeta(v) = eps_zeta * c_1(v)
+    with eps_zeta central and invertible, so c_zeta(v) is central exactly
+    when c_1(v) is."""
     degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     v = ws.corep(corep)
-    c = central_element(ws, v, zeta)
+    c = central_element(ws, v, TRIVIAL)
     central = is_central(ws, c, degree)
-    row = (c - ws.eps_functional().scaled(c.value_at_unit())).word_values(degree)
-    lie_span = linalg.echelon(list(lie_rows(ws, v, zeta, degree).values()))
+    row = (c - ws.eps_zeta(zeta.inverse()).scaled(c.value_at_unit())).word_values(degree)
+    lie_span = linalg.echelon(list(lie_rows(ws, v, zeta, degree, zeta).values()))
     in_span = linalg.in_row_space(lie_span, row)
     nonzero = bool(row)
     return central and nonzero and in_span, {
@@ -487,7 +520,7 @@ def verify_tensor_identity(ws, degree=None):
 def verify_coideal(ws, zeta=TRIVIAL, corep="u", degree=None):
     """X_zeta(v) + C eps is a right coideal and ad_R-invariant."""
     degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
-    ok, deg = QuantumLieAlgebra(ws, ws.corep(corep), zeta).coideal_certificate(degree)
+    ok, deg = QuantumLieAlgebra(ws, ws.corep(corep), zeta, zeta).coideal_certificate(degree)
     return ok, {"degree": deg, "zeta": str(zeta), "corep": corep}
 
 
@@ -535,7 +568,7 @@ def verify_direct_sum(ws, zeta=TRIVIAL):
         cert = direct_sum_calculi([Calculus(ws, ws.corep(d), zeta) for d in ("1", "u")])
     except NotDirectError as exc:
         return False, {"detail": str(exc)}
-    lie_sum = quantum_lie(ws, ws.corep("dsum(1,u)"), zeta)
+    lie_sum = quantum_lie(ws, ws.corep("dsum(1,u)"), zeta, zeta)
     return cert.direct and lie_sum.certified_dim == cert.total, {
         "dims": cert.dims,
         "total": cert.total,
@@ -545,11 +578,12 @@ def verify_direct_sum(ws, zeta=TRIVIAL):
 
 
 def verify_central_generates(ws, zeta=TRIVIAL, corep="u", degree=None):
-    """The right translates of c_zeta(v) span X_zeta(v)."""
+    """The right translates of c_zeta(v) span X_zeta(v), both in the gauge
+    of zeta."""
     degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     v = ws.corep(corep)
     _, rows_c = central_span(ws, v, zeta, degree)
-    (ra, rb), rab = dual.span_ranks(rows_c, list(lie_rows(ws, v, zeta, degree).values()))
+    (ra, rb), rab = dual.span_ranks(rows_c, list(lie_rows(ws, v, zeta, degree, zeta).values()))
     return ra == rb == rab, {
         "rank_central": ra, "rank_lie": rb, "rank_union": rab, "degree": degree
     }

@@ -5,14 +5,18 @@ functional word by word, the r-form and its convolution inverse, the antipode
 of an element, the two-sided antipode axiom, D^{-1} through the coordinate
 antipode, distinguished functionals, the adjoint action, right-ideal
 membership, the pairwise comatrix check, the letter legs of the
-materialised comatrix defect, the irreducible components of a descriptor,
-two R-matrix oracles and the Gauss-Jordan inverse.  Nothing in src/qfodc
-calls them; the tests compare the package's results against them.
+materialised comatrix defect, the ungauged twist consumers (the quantum Lie
+basis and rows, the coideal check, the centrality claim, the central span
+and the classification over the true values of eps_zeta), the irreducible
+components of a descriptor, two R-matrix oracles and the Gauss-Jordan
+inverse.  Nothing in src/qfodc calls them; the tests compare the package's
+results against them.
 """
 
-from qfodc import coordalg, dual, linalg, rmat
+from qfodc import coordalg, dual, fodc, linalg, rmat
 from qfodc.coordalg import CoordElem, YoungWeight
-from qfodc.dual import Functional, antipode_rep, conv, nested_label
+from qfodc.cyclotomic import all_admissible
+from qfodc.dual import Functional, antipode_rep, conv, eps_zeta_rep, nested_label
 from qfodc.scalar import ONE, ZERO
 
 
@@ -195,6 +199,100 @@ def right_ideal_member(cal, a):
         if total is not None and not total.is_zero():
             return False
     return True
+
+
+# -- the twist consumers over the true values of eps_zeta ---------------------
+# The package reads X_zeta(v), c_zeta(v) and eps in the gauge of the run's
+# twist zeta (fodc.QuantumLieAlgebra); these bodies carry zeta through every
+# row, walk and elimination instead.
+
+def true_lie_basis(ws, v, zeta):
+    """X_ij = eps_zeta l(v^i_j) - delta_ij eps, housed in
+    conv(eps_zeta_rep, mrep(v)) and the counit's representation."""
+    xrep = conv(eps_zeta_rep(ws.config, zeta), ws.mrep(v))
+    eps = ws.eps_functional()
+    basis = []
+    for i in range(v.dim):
+        for j in range(v.dim):
+            terms = [(xrep, (0, (k, k)), (0, (i + 1, j + 1)), ONE)
+                     for k in range(1, v.dim + 1)]
+            if i == j:
+                terms += [(t[0], t[1], t[2], -t[3]) for t in eps.terms]
+            basis.append(Functional(terms, f"X[{i + 1},{j + 1}]"))
+    return basis
+
+
+def true_lie_rows(ws, v, zeta, degree):
+    """The word rows of true_lie_basis, evaluated term by term."""
+    return dual.word_values(true_lie_basis(ws, v, zeta), degree)
+
+
+def true_central_element(ws, v, zeta):
+    """c_zeta(v) = sum_ij eps_zeta l(v^i_j) (D^{-1})^j_i, housed in
+    conv(eps_zeta_rep, mrep(v))."""
+    dinv = fodc.d_inverse_matrix(ws, v)
+    xrep = conv(eps_zeta_rep(ws.config, zeta), ws.mrep(v))
+    terms = [(xrep, (0, (k, k)), (0, (i + 1, j + 1)), dinv[j][i])
+             for i in range(v.dim) for j in range(v.dim) for k in range(1, v.dim + 1)]
+    return Functional(terms, fodc.central_label(v, zeta))
+
+
+def coideal_check_ungauged(ws, basis, degree):
+    """Workspace.coideal_check on a basis of true functionals: their rows
+    and the counit's, with nothing dropped, through the same two
+    certificates."""
+    rows = dual.word_values(basis, degree) + [dual.eps_word_values(degree, ws.N)]
+    return ws._right_coideal(rows, degree) and ws._ad_invariant(basis, rows, degree)
+
+
+def verify_centrality_ungauged(ws, zeta, corep, degree):
+    """fodc.verify_centrality over the true c_zeta(v), eps and X_zeta(v)."""
+    v = ws.corep(corep)
+    c = true_central_element(ws, v, zeta)
+    central = fodc.is_central(ws, c, degree)
+    row = (c - ws.eps_functional().scaled(c.value_at_unit())).word_values(degree)
+    in_span = linalg.in_row_space(linalg.echelon(true_lie_rows(ws, v, zeta, degree)), row)
+    return central and bool(row) and in_span, {
+        "central": central, "p_eps_nonzero": bool(row), "in_lie_span": in_span,
+        "degree": degree, "zeta": str(zeta),
+    }
+
+
+def central_span_ungauged(ws, v, zeta, degree):
+    """The right translates of the true c_zeta(v) that span its quantum Lie
+    algebra, and their word rows."""
+    gens = fodc.quantum_lie_from_central(ws, true_central_element(ws, v, zeta))
+    return gens, dual.word_values(gens, degree)
+
+
+def classify_ungauged(ws, rows, descriptor, degree, frame_bound=2, basis=None):
+    """fodc.classify on true rows and basis, each candidate X_zeta'(v) read
+    off true_lie_rows."""
+    rows = [r for r in rows if r]
+    coideal_ok = True
+    if basis:
+        coideal_ok = coideal_check_ungauged(ws, [x for x in basis if x.terms], degree)
+    big = linalg.echelon(rows)
+    candidates = []
+    for zeta in all_admissible(ws.config):
+        for frame, desc in fodc.candidate_library(ws, frame_bound):
+            if zeta.is_one() and frame.trivial:
+                continue
+            v = ws.corep(desc)
+            candidates.append((v.dim * v.dim, (zeta.order, zeta.index), frame, zeta, v))
+    candidates.sort(key=lambda t: (-t[0], t[1], t[2].m))
+    found, found_echelon = [], []
+    for dim2, _, frame, zeta, v in candidates:
+        cand_rows = [r for r in true_lie_rows(ws, v, zeta, degree) if r]
+        if not all(linalg.in_row_space(big, r) for r in cand_rows):
+            continue
+        merged = list(found_echelon)
+        if sum(linalg.extend(merged, r) for r in cand_rows) != dim2:
+            continue
+        found_echelon = merged
+        found.append(fodc.Component(zeta, frame, dim2, degree))
+    return fodc.ClassificationReport(descriptor, found, len(big), len(big) - len(found_echelon),
+                                     degree, coideal_ok=coideal_ok)
 
 
 # -- corepresentations --------------------------------------------------------

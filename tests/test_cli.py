@@ -225,6 +225,18 @@ def test_classify_from_central(capsys):
     assert data["components"][0]["frame"] == "[1]"
 
 
+@pytest.mark.parametrize("source", ["--corep=u", "--central=u"])
+def test_classify_exits_1_when_the_coideal_certificate_fails(source, monkeypatch, capsys):
+    # a failed certificate is a failed run, as in report; the residual
+    # rank stays 0, so only the coideal verdict decides the status
+    monkeypatch.setattr(dual.Workspace, "coideal_check",
+                        lambda self, basis, degree=None, gauge=None: (False, degree))
+    rc, out = run(capsys, "classify", "--series", "sl", "--n", "3", source, "--zeta=w")
+    data = json.loads(out)
+    assert rc == 1
+    assert data["coideal_ok"] is False and data["residual_rank"] == 0
+
+
 def test_central_element_needs_no_coordinate_antipode(monkeypatch, capsys):
     # D^{-1} is read off S^2(l+[v]) on the dual side, so neither command
     # builds the generator antipode table
