@@ -175,19 +175,18 @@ def apply_antipode(elem, table):
 # quantum exterior algebra and minors
 # ---------------------------------------------------------------------------
 
-def exterior_relations(rdata, projectors=None):
+def exterior_relations(rdata, projectors):
     """Reordering coefficients of the quantum exterior algebra, derived from
     the braid antisymmetrizer so they cannot drift from the R convention.
 
-    Returns {(j, i): kappa} with j > i meaning y_j y_i = kappa * y_i y_j;
-    squares y_i y_i are zero.  A series only.
+    projectors are rmat.spectral_projectors(rdata).  Returns {(j, i): kappa}
+    with j > i meaning y_j y_i = kappa * y_i y_j; squares y_i y_i are zero.
+    A series only.
     """
     from . import rmat as _rmat
 
     if rdata.config.series != "A":
         raise InvalidDegreeError("exterior relations are derived for the A series only")
-    if projectors is None:
-        projectors = _rmat.spectral_projectors(rdata)
     # antisymmetrizer = projector of rank N(N-1)/2
     N = rdata.N
     target = N * (N - 1) // 2
@@ -277,19 +276,25 @@ class Corep:
         self.entries = entries
         self.dim = len(entries)
         self.label = label
-        for i in range(self.dim):
-            for j in range(self.dim):
-                eps = entries[i][j].counit()
-                want = ONE if i == j else ZERO
-                if eps != want:
-                    raise NotInvariantError(
-                        f"counit of entry ({i},{j}) of {label} is {eps}, want {want}"
-                    )
+        check_counit(entries, label)
 
     def __str__(self):
         return f"Corep[{self.label}, dim {self.dim}]"
 
     __repr__ = __str__
+
+
+def check_counit(entries, label):
+    """Raise NotInvariantError unless the counit table [eps(v^i_j)] of the
+    square matrix entries is the identity."""
+    for i, row in enumerate(entries):
+        for j, entry in enumerate(row):
+            eps = entry.counit()
+            want = ONE if i == j else ZERO
+            if eps != want:
+                raise NotInvariantError(
+                    f"counit of entry ({i},{j}) of {label} is {eps}, want {want}"
+                )
 
 
 def trivial_corep():

@@ -1,7 +1,6 @@
 """The dual Hopf algebra side: L-functionals, the convolution algebra of
 functionals realized as entries of multiplicative matrix representations,
-the universal r-form on words, evaluation matrices, rank machinery and dual
-separation.
+evaluation matrices, rank machinery and dual separation.
 
 A MatRep assigns to every generator u^i_j a d x d matrix of scalars and
 extends to words by matrix products (the unit word maps to the identity).
@@ -10,6 +9,9 @@ representations built here factor through the defining ideal of O(G_q), so
 functional equalities certified on free words are faithful.
 
 A Functional is a finite linear combination of (rep, row, col) entries.
+
+The L-functional tables of a corepresentation v are read off L+, L- and
+S(L-) on v's entries (Workspace.l_corep, Workspace.antipode_l_corep).
 
 The Workspace ties one FieldConfig to its R-matrix, its corepresentation
 registry (each descriptor parsed once by _parse, every node registered under
@@ -214,23 +216,13 @@ def conv(f, g, name=None):
 
 def conv_power(f, k):
     """k-fold convolution power f * ... * f, the left fold of conv.  Its
-    labels are conv's left-nested pairs, nested_label((a1, ..., ak))."""
+    labels are conv's left-nested pairs (((a1, a2), a3), ...)."""
     if k < 1:
         raise ValueError(f"convolution power needs k >= 1, got {k}")
     rep = f
     for t in range(2, k + 1):
         rep = conv(rep, f, f"{f.name}^*{t}")
     return rep
-
-
-def nested_label(seq):
-    """The label (((a1, a2), a3), ...) that a left fold of conv gives the
-    factors' labels a1, a2, ...; a single label stays as it is."""
-    it = iter(seq)
-    lab = next(it)
-    for a in it:
-        lab = (lab, a)
-    return lab
 
 
 def antipode_rep(f, config):
@@ -259,6 +251,36 @@ def antipode_rep(f, config):
             if not v.is_zero():
                 gens.setdefault((i, j), {}).setdefault(x, {})[y] = v
     return MatRep(N, f.labels, gens, f"S({f.name})")
+
+
+def corep_values(m, cor):
+    """[[m(v^i_j)]]: the representation m on each entry of cor,
+    sum_w c_w m(w), as sparse matrices with exact zeros dropped."""
+    out = []
+    for entry_row in cor.entries:
+        mats = []
+        for entry in entry_row:
+            mat = {}
+            for w, c in entry.terms.items():
+                for r, row in m.word_matrix(w).items():
+                    linalg.add_scaled(mat.setdefault(r, {}), c, row)
+            mats.append({r: row for r, row in mat.items() if row})
+        out.append(mats)
+    return out
+
+
+def read_on_corep(m, v, transpose, name):
+    """The MatRep on v's labels whose generator u^a_b maps to the matrix
+    [m(v^i_j)[a][b]] at [j][i], or with transpose to [m(v^i_j)[b][a]] at
+    [i][j]: a table of functionals of v read off m on v's entries."""
+    gens = {}
+    for i, mats in enumerate(corep_values(m, v), start=1):
+        for j, mat in enumerate(mats, start=1):
+            for a, row in mat.items():
+                for b, val in row.items():
+                    key, r, c = ((b, a), i, j) if transpose else ((a, b), j, i)
+                    gens.setdefault(key, {}).setdefault(r, {})[c] = val
+    return MatRep(m.N, range(1, v.dim + 1), gens, name)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +450,9 @@ def span_ranks(*row_sets):
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """One quantum group: R-matrix, corepresentation registry, the r-form
-    memo and one keyed cache (_cached) of the antipode, the projectors,
-    minors and representations."""
+    """One quantum group: R-matrix, corepresentation registry and one keyed
+    cache (_cached) of the antipode, the projectors, minors and
+    representations."""
 
     def __init__(self, config, d_max=D_MAX):
         last = START_DEGREE + STABILITY_WINDOW - 1
@@ -446,7 +468,6 @@ class Workspace:
         self.lplus = lplus(config, self.rdata)
         self.lminus = lminus(config, self.rdata)
         self._eps = eps_rep(config)
-        self._pair_memo = {}
         self._coreps = {}
         self._cache = {}
 
@@ -471,10 +492,6 @@ class Workspace:
         rep = self._cached(("eps", zeta, zeta.ring.order), eps_zeta_rep, self.config, zeta)
         return Functional([(rep, 0, 0, ONE)], rep.name)
 
-    def power(self, base, k):
-        """conv_power(base, k), cached per (base, k)."""
-        return self._cached(("power", base.uid, k), conv_power, base, k)
-
     def convolve(self, f, g):
         """f * g as a Functional.  For f = sum a F[r, c] and g = sum b G[r', c'],
         f * g = sum a b conv(F, G)[(r, r'), (c, c')] on every word, since conv
@@ -496,48 +513,28 @@ class Workspace:
     def lminus_entry(self, i, j):
         return Functional([(self.lminus, i, j, ONE)], f"l-[{i},{j}]")
 
-    # -- universal r-form on words -------------------------------------------
-
-    def _pair_words(self, base, word, fixed):
-        """The entry of power(base, |fixed|) at the index pairs of fixed,
-        read right to left, on word: r(word (x) fixed) for base L+ and
-        rbar(fixed (x) word) for base L-.  The empty fixed word gives the
-        counit of word."""
-        key = (base.uid, word, fixed)
-        v = self._pair_memo.get(key)
-        if v is None:
-            if not fixed:
-                v = ONE if all(i == j for i, j in word) else ZERO
-            else:
-                rev = fixed[::-1]
-                v = self.power(base, len(fixed)).entry_on_word(
-                    nested_label(i for i, _ in rev), nested_label(j for _, j in rev), word
-                )
-            self._pair_memo[key] = v
-        return v
-
-    def _pairing(self, base, a, b):
-        """Bilinear extension of _pair_words(base, w1, w2) over the words
-        w1 of a and w2 of b."""
-        total = ZERO
-        for w1, c1 in a.terms.items():
-            for w2, c2 in b.terms.items():
-                v = self._pair_words(base, w1, w2)
-                if not v.is_zero():
-                    total = total + c1 * c2 * v
-        return total
+    # -- the factorizability form ---------------------------------------------
 
     def q_form(self, a, b):
-        """q(a (x) b) = r(b1 (x) a1) r(a2 (x) b2), the factorizability form."""
+        """q(a (x) b) = r(b1 (x) a1) r(a2 (x) b2), the factorizability form.
+        r(w (x) f) for words w and f is l+[u^{(x)|f|}] at f's index pairs,
+        read on w, and the counit of w when f is empty."""
+        def r(w, f):
+            if not f:
+                return ONE if all(i == j for i, j in w) else ZERO
+            pos = _tensor_position_map(self.N, len(f))
+            rep = self.l_corep(self.tensor_power_corep(len(f)))
+            return rep.entry_on_word(pos[tuple(i for i, _ in f)], pos[tuple(j for _, j in f)], w)
+
         total = ZERO
         da = coordalg.coproduct(a, self.N)
         db = coordalg.coproduct(b, self.N)
         for (a1, a2), ca in da.items():
             for (b1, b2), cb in db.items():
-                v1 = self._pair_words(self.lplus, b1, a1)
+                v1 = r(b1, a1)
                 if v1.is_zero():
                     continue
-                v2 = self._pair_words(self.lplus, a2, b2)
+                v2 = r(a2, b2)
                 if v2.is_zero():
                     continue
                 total = total + ca * cb * v1 * v2
@@ -729,7 +726,10 @@ class Workspace:
         P(a, b), as V_{a*b*m2} = V_a . V_{b*m2} = V_a . V_b . V_{m2} =
         V_{a*b} . V_{m2}; conversely P(a, b*c) with |c| = 2 follows from
         P(a*b, c), P(a, b) and P(b, c) the same way.  The mirrored set
-        (|m1| <= 3, m2 a letter) is equivalent too.
+        (|m1| <= 3, m2 a letter) is equivalent too.  For the letter eps,
+        V_eps is the counit table, so P(eps, m2) holds for every m2 when
+        that table is the identity, which is checked first
+        (coordalg.check_counit, as a Corep is); only L+ and L- are walked.
 
         So each entry (r, c) of each letter m is applied to one leg of every
         D_ij, leaving an element of the other leg, without forming D_ij in
@@ -744,7 +744,8 @@ class Workspace:
         side's nonzero legs must vanish under separated_equal at
         SEPARATION_LENGTH.  The side is chosen once for all entries, since
         the proof sums over k across them."""
-        letters = [(m, _entry_matrices(m, cor)) for _, m in self.separating_reps(1)]
+        coordalg.check_counit(cor.entries, cor.label)
+        letters = [(m, _entry_matrices(m, cor)) for m in (self.lplus, self.lminus)]
         walks = {}
         for side in (0, 1):
             if not any(_comatrix_legs(cor, letters, side, walks)):
@@ -766,35 +767,29 @@ class Workspace:
 
     # -- L-functionals of arbitrary coreps --------------------------------------
 
-    def l_corep(self, base, v):
-        """MatRep of the L-functionals of v over base L+ or L-: u^a_b maps
-        to the matrix [_pairing(base, u^a_b, v^i_j)], so that
-        l+[v]^i_j = r(. (x) v^i_j) and l-[v]^i_j = rbar(v^i_j (x) .).  It
-        and the representations built on it are cached per Corep object,
-        not per label: two coreps may share a label."""
-        def build():
-            N = self.N
-            gens = {}
-            for a in range(1, N + 1):
-                for b in range(1, N + 1):
-                    g = CoordElem.generator(a, b)
-                    m = {}
-                    for i in range(v.dim):
-                        for j in range(v.dim):
-                            val = self._pairing(base, g, v.entries[i][j])
-                            if not val.is_zero():
-                                m.setdefault(i + 1, {})[j + 1] = val
-                    if m:
-                        gens[(a, b)] = m
-            return MatRep(N, range(1, v.dim + 1), gens, f"{base.name}[{v.label}]")
-        return self._cached(("L", base.uid, v), build)
+    def l_corep(self, v):
+        """L+[v], the MatRep of l+[v]^i_j = r(. (x) v^i_j).  rbar = r o (S (x)
+        id) and r o (S (x) S) = r give r(x (x) y) = rbar(x (x) S y), so
+        l+[v]^i_j(u^a_b) = l-^a_b(S v^i_j) = S(L-)(v^i_j)[b][a].  It and the
+        representations built on it are cached per Corep object, not per
+        label: two coreps may share a label."""
+        return self._cached(("L+", v), lambda: read_on_corep(
+            self._antipode(self.lminus), v, True, f"L+[{v.label}]"
+        ))
+
+    def antipode_l_corep(self, base, v):
+        """S(base[v]) for base L+ or L-, read off the other one on v's
+        entries with no inversion: S(L-[v])(u^a_b)[j][i] =
+        rbar(v^i_j (x) S u^a_b) = r(v^i_j (x) u^a_b) = L+(v^i_j)[a][b], and
+        S(L+[v])(u^a_b)[j][i] = r(S u^a_b (x) v^i_j) = L-(v^i_j)[a][b]."""
+        other = self.lplus if base is self.lminus else self.lminus
+        return read_on_corep(other, v, False, f"S({base.name}[{v.label}])")
 
     def mrep(self, v):
         """conv(S(L-[v]), L+[v]): houses all l(v^i_j)."""
-        def build():
-            srep = antipode_rep(self.l_corep(self.lminus, v), self.config)
-            return conv(srep, self.l_corep(self.lplus, v), name=f"M[{v.label}]")
-        return self._cached(("m", v), build)
+        return self._cached(("m", v), lambda: conv(
+            self.antipode_l_corep(self.lminus, v), self.l_corep(v), name=f"M[{v.label}]"
+        ))
 
     def l_entry(self, v, i, j):
         """l(v^i_j) = sum_k S(l-[v]^i_k) l+[v]^k_j as a Functional."""
@@ -861,13 +856,16 @@ class Workspace:
 
     # -- adjoint action -----------------------------------------------------------
 
+    def _antipode(self, rep):
+        """antipode_rep(rep), cached per rep."""
+        return self._cached(("S", rep.uid), antipode_rep, rep, self.config)
+
     def _ad_rep(self, frep, xrep):
         """conv(S(frep), conv(xrep, frep)), the MatRep that houses ad_R(f)x
         for f inside frep and x inside xrep (cached)."""
-        def build():
-            srep = self._cached(("S", frep.uid), antipode_rep, frep, self.config)
-            return conv(srep, self._conv(xrep, frep))
-        return self._cached(("ad", frep.uid, xrep.uid), build)
+        return self._cached(("ad", frep.uid, xrep.uid), lambda: conv(
+            self._antipode(frep), self._conv(xrep, frep)
+        ))
 
     # -- evaluation matrices, ranks, equality --------------------------------------
 
@@ -1130,17 +1128,10 @@ def _letter_walk(m, w, side, walks):
 def _entry_matrices(m, cor):
     """[[-m(v^i_k)]] over the corep's entries, each matrix a list of its
     nonzero (r, c, value) triples."""
-    mats = []
-    for entry_row in cor.entries:
-        mat_row = []
-        for entry in entry_row:
-            mat = {}
-            for w, c in entry.terms.items():
-                for r, row in m.word_matrix(w).items():
-                    linalg.add_scaled(mat.setdefault(r, {}), -c, row)
-            mat_row.append([(r, col, v) for r, row in mat.items() for col, v in row.items()])
-        mats.append(mat_row)
-    return mats
+    return [
+        [[(r, c, -v) for r, row in mat.items() for c, v in row.items()] for mat in mats]
+        for mats in corep_values(m, cor)
+    ]
 
 
 # Descriptor bounds, checked before anything is built.  Every descriptor of

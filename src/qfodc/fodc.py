@@ -204,18 +204,17 @@ def d_inverse_matrix(ws, v):
     """(D^{-1})^j_i = r(S^2(v^j_n) (x) v^n_i), an exact m x m matrix.
 
     Since l+[v]^n_i = r(. (x) v^n_i), the entry is sum_n S^2(l+[v]^n_i)
-    (v^j_n): each antipode_rep transposes the indices, so entry [n][i] of
-    antipode_rep applied twice to L+[v] is l+[v]^n_i o S^2, read here on
-    the words of v^j_n.
+    (v^j_n): S(L+[v]) is read off L- (Workspace.antipode_l_corep) and each
+    antipode transposes the indices, so entry [n][i] of antipode_rep
+    applied to it is l+[v]^n_i o S^2, read here on v^j_n.
     """
     m = v.dim
-    s2 = dual.antipode_rep(dual.antipode_rep(ws.l_corep(ws.lplus, v), ws.config), ws.config)
+    s2 = dual.antipode_rep(ws.antipode_l_corep(ws.lplus, v), ws.config)
     out = [[ZERO] * m for _ in range(m)]
-    for j in range(m):
-        for n in range(m):
-            for w, c in v.entries[j][n].terms.items():
-                for i, val in s2.word_matrix(w).get(n + 1, {}).items():
-                    out[j][i - 1] = out[j][i - 1] + c * val
+    for j, mats in enumerate(dual.corep_values(s2, v)):
+        for n, mat in enumerate(mats, start=1):
+            for i, val in mat.get(n, {}).items():
+                out[j][i - 1] = out[j][i - 1] + val
     return out
 
 

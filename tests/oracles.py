@@ -1,7 +1,9 @@
 """Reference helpers that only the tests call.
 
 Each is a plain function over the package's objects: direct evaluation of a
-functional word by word, the r-form and its convolution inverse, the antipode
+functional word by word, the r-form and its convolution inverse through
+convolution powers of L+ and L- (with the L-functional tables and the
+factorizability form read off them), the antipode
 of an element, the two-sided antipode axiom, D^{-1} through the coordinate
 antipode, distinguished functionals, the adjoint action, right-ideal
 membership, the pairwise comatrix check, the letter legs of the
@@ -16,7 +18,7 @@ results against them.
 from qfodc import coordalg, dual, fodc, linalg, rmat
 from qfodc.coordalg import CoordElem, YoungWeight
 from qfodc.cyclotomic import all_admissible
-from qfodc.dual import Functional, antipode_rep, conv, eps_zeta_rep, nested_label
+from qfodc.dual import Functional, MatRep, antipode_rep, conv, conv_power, eps_zeta_rep
 from qfodc.scalar import ONE, ZERO
 
 
@@ -46,19 +48,110 @@ def evaluate(f, elem):
     return total
 
 
+# -- the r-form through convolution powers of L+ and L- ---------------------
+
+def nested_label(seq):
+    """The label (((a1, a2), a3), ...) that a left fold of conv gives the
+    factors' labels a1, a2, ...; a single label stays as it is."""
+    it = iter(seq)
+    lab = next(it)
+    for a in it:
+        lab = (lab, a)
+    return lab
+
+
+def power(ws, base, k):
+    """conv_power(base, k), cached per (base, k) in the workspace."""
+    return ws._cached(("power", base.uid, k), conv_power, base, k)
+
+
+# pair_words values per (base.uid, word, fixed); a MatRep's uid is unique
+# across workspaces
+_PAIR_MEMO = {}
+
+
+def pair_words(ws, base, word, fixed):
+    """The entry of power(base, |fixed|) at the index pairs of fixed,
+    read right to left, on word: r(word (x) fixed) for base L+ and
+    rbar(fixed (x) word) for base L-.  The empty fixed word gives the
+    counit of word."""
+    key = (base.uid, word, fixed)
+    v = _PAIR_MEMO.get(key)
+    if v is None:
+        if not fixed:
+            v = ONE if all(i == j for i, j in word) else ZERO
+        else:
+            rev = fixed[::-1]
+            v = power(ws, base, len(fixed)).entry_on_word(
+                nested_label(i for i, _ in rev), nested_label(j for _, j in rev), word
+            )
+        _PAIR_MEMO[key] = v
+    return v
+
+
+def pairing(ws, base, a, b):
+    """Bilinear extension of pair_words(ws, base, w1, w2) over the words
+    w1 of a and w2 of b."""
+    total = ZERO
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            v = pair_words(ws, base, w1, w2)
+            if not v.is_zero():
+                total = total + c1 * c2 * v
+    return total
+
+
+def l_corep_by_pairing(ws, base, v):
+    """MatRep of the L-functionals of v over base L+ or L-: u^a_b maps to
+    the matrix [pairing(ws, base, u^a_b, v^i_j)], so that
+    l+[v]^i_j = r(. (x) v^i_j) and l-[v]^i_j = rbar(v^i_j (x) .)."""
+    N = ws.N
+    gens = {}
+    for a in range(1, N + 1):
+        for b in range(1, N + 1):
+            g = CoordElem.generator(a, b)
+            m = {}
+            for i in range(v.dim):
+                for j in range(v.dim):
+                    val = pairing(ws, base, g, v.entries[i][j])
+                    if not val.is_zero():
+                        m.setdefault(i + 1, {})[j + 1] = val
+            if m:
+                gens[(a, b)] = m
+    return MatRep(N, range(1, v.dim + 1), gens, f"{base.name}[{v.label}]")
+
+
+def q_form_by_pairing(ws, a, b):
+    """q(a (x) b) = r(b1 (x) a1) r(a2 (x) b2), each r read through
+    pair_words."""
+    total = ZERO
+    da = coordalg.coproduct(a, ws.N)
+    db = coordalg.coproduct(b, ws.N)
+    for (a1, a2), ca in da.items():
+        for (b1, b2), cb in db.items():
+            v1 = pair_words(ws, ws.lplus, b1, a1)
+            if v1.is_zero():
+                continue
+            v2 = pair_words(ws, ws.lplus, a2, b2)
+            if v2.is_zero():
+                continue
+            total = total + ca * cb * v1 * v2
+    return total
+
+
 # -- the workspace's forms, antipode and distinguished functionals -----------
 
 def r_form(ws, a, b):
     """The universal r-form extended to word pairs by the bicharacter
     axioms (with the leg-order reversal in the second slot)."""
-    return ws._pairing(ws.lplus, a, b)
+    return pairing(ws, ws.lplus, a, b)
 
 
 def rbar_form(ws, a, b):
     """Convolution inverse of the r-form, extended from R^{-1} by the
     inverse bicharacter axioms (degree-preserving; agrees with
     r(S(a) (x) b))."""
-    return ws._pairing(ws.lminus, b, a)
+    return pairing(ws, ws.lminus, b, a)
 
 
 def antipode(ws, a):
@@ -116,7 +209,7 @@ def principal_minor(ws, k):
 
 def k_functional(ws, i):
     """K_i = l-^1_1 ... l-^i_i."""
-    rep = ws.power(ws.lminus, i)
+    rep = power(ws, ws.lminus, i)
     lab = nested_label(range(1, i + 1))
     return Functional([(rep, lab, lab, ONE)], f"K_{i}")
 
@@ -146,7 +239,7 @@ def k_alpha_functional(ws, i):
         e = a[j - 1][i - 1]
         if e == 0:
             continue
-        base = ws.power(ws.lminus, j)
+        base = power(ws, ws.lminus, j)
         lab = nested_label(range(1, j + 1))
         if e < 0:
             base = antipode_rep(base, ws.config)

@@ -32,6 +32,9 @@ from oracles import (
     k_alpha_functional,
     k_functional,
     letter_legs,
+    nested_label,
+    pair_words,
+    power,
     principal_minor,
     r_form,
     rbar_form,
@@ -238,7 +241,7 @@ def test_conv_power_matches_chain_sum(config):
         for k in range(1, 5):
             want = {
                 key: {
-                    dual.nested_label(r): {dual.nested_label(c): v for c, v in row.items()}
+                    nested_label(r): {nested_label(c): v for c, v in row.items()}
                     for r, row in m.items()
                 }
                 for key, m in _chain_power(f, k).items()
@@ -255,10 +258,10 @@ def test_conv_power_rejects_k_below_one(ws2):
 def test_pair_words_on_the_empty_fixed_word_is_the_counit(ws2):
     rng = random.Random(5)
     for base in (ws2.lplus, ws2.lminus):
-        assert ws2._pair_words(base, (), ()) == ONE
+        assert pair_words(ws2, base, (), ()) == ONE
         for _ in range(10):
             w = rand_word(rng, 2, 3)
-            assert ws2._pair_words(base, w, ()) == CoordElem.from_word(w).counit()
+            assert pair_words(ws2, base, w, ()) == CoordElem.from_word(w).counit()
 
 
 # -- r-form -----------------------------------------------------------------
@@ -293,15 +296,15 @@ def test_r_form_bicharacter_axioms(ws2):
         a = rand_word(rng, N, 2)
         b = rand_word(rng, N, 2)
         c = rand_word(rng, N, 2)
-        lhs = ws2._pair_words(ws2.lplus, a + b, c)
+        lhs = pair_words(ws2, ws2.lplus, a + b, c)
         rhs = ZERO
         for c1, c2 in coproduct_splits(c, N):
-            rhs = rhs + ws2._pair_words(ws2.lplus, a, c1) * ws2._pair_words(ws2.lplus, b, c2)
+            rhs = rhs + pair_words(ws2, ws2.lplus, a, c1) * pair_words(ws2, ws2.lplus, b, c2)
         assert lhs == rhs
-        lhs2 = ws2._pair_words(ws2.lplus, a, b + c)
+        lhs2 = pair_words(ws2, ws2.lplus, a, b + c)
         rhs2 = ZERO
         for a1, a2 in coproduct_splits(a, N):
-            rhs2 = rhs2 + ws2._pair_words(ws2.lplus, a1, c) * ws2._pair_words(ws2.lplus, a2, b)
+            rhs2 = rhs2 + pair_words(ws2, ws2.lplus, a1, c) * pair_words(ws2, ws2.lplus, a2, b)
         assert lhs2 == rhs2
 
 
@@ -315,15 +318,15 @@ def test_rbar_is_convolution_inverse(ws2):
         total = ZERO
         for (a1, a2) in coproduct_splits(wa, N):
             for (b1, b2) in coproduct_splits(wb, N):
-                total = total + ws2._pair_words(ws2.lminus, b1, a1) * \
-                    ws2._pair_words(ws2.lplus, a2, b2)
+                total = total + pair_words(ws2, ws2.lminus, b1, a1) * \
+                    pair_words(ws2, ws2.lplus, a2, b2)
         assert total == a.counit() * b.counit()
         # and the other composition order
         total = ZERO
         for (a1, a2) in coproduct_splits(wa, N):
             for (b1, b2) in coproduct_splits(wb, N):
-                total = total + ws2._pair_words(ws2.lplus, a1, b1) * \
-                    ws2._pair_words(ws2.lminus, b2, a2)
+                total = total + pair_words(ws2, ws2.lplus, a1, b1) * \
+                    pair_words(ws2, ws2.lminus, b2, a2)
         assert total == a.counit() * b.counit()
 
 
@@ -429,9 +432,9 @@ def test_tau_character_is_the_diagonal_entry_of_the_lplus_power(config):
     fundamental = [YoungWeight.fundamental(k) for k in range(1, config.rank + 1)]
     for weight in fundamental + [YoungWeight((1, 1)), YoungWeight((2,))]:
         seq = _tau_seq(weight)
-        lab = dual.nested_label(seq)
-        power = ws.power(ws.lplus, len(seq))
-        want = dual.column_values(power, {lab: ONE}, 3, [lab])[lab]
+        lab = nested_label(seq)
+        rep = power(ws, ws.lplus, len(seq))
+        want = dual.column_values(rep, {lab: ONE}, 3, [lab])[lab]
         assert ws.tau_functional(weight).word_values(3) == want, weight
 
 
@@ -871,6 +874,15 @@ def test_comatrix_check_matches_the_pairwise_reference(case, change, c, data):
         assert verdict and verdicts
 
 
+def test_comatrix_check_refuses_a_counit_table_other_than_the_identity():
+    # the zero 1 x 1 matrix satisfies Delta(v) = v (x) v, so every letter
+    # leaves a zero leg, but eps(v) = 0: it is no corepresentation
+    ws = _sl_workspace(2)
+    zero = SimpleNamespace(entries=[[CoordElem()]], dim=1, label="zero")
+    with pytest.raises(coordalg.NotInvariantError, match="counit"):
+        ws._check_comatrix(zero)
+
+
 def test_comatrix_check_separates_at_length_three():
     # (u^1_2)^3 added to an entry of SL_q(2) proj:sym leaves a leg that the
     # separating family first tells from zero at length 3, so a separation
@@ -937,7 +949,7 @@ def test_comatrix_walk_matches_the_materialised_legs(series, n, desc, changed):
 def test_corep_rep_multiplicative(ws3):
     # spot-verify the structural multiplicativity of a constructed
     # corepresentation rep on random word pairs
-    rep = ws3.l_corep(ws3.lplus, ws3.corep("minor:2"))
+    rep = ws3.l_corep(ws3.corep("minor:2"))
     rng = random.Random(73)
     for _ in range(8):
         w1 = rand_word(rng, 3, 2)
@@ -952,9 +964,9 @@ def test_two_leg_telescoping_identity(ws3):
     # sum_M S(l-(D^I_M)) (x) l+(D^M_I) = (l+^1_1 l+^2_2) (x) (l+^1_1 l+^2_2)
     # as functionals on word pairs
     v2 = ws3.corep("minor:2")
-    srep = antipode_rep(ws3.l_corep(ws3.lminus, v2), ws3.config)
-    lp = ws3.l_corep(ws3.lplus, v2)
-    cp2 = ws3.power(ws3.lplus, 2)
+    srep = ws3.antipode_l_corep(ws3.lminus, v2)
+    lp = ws3.l_corep(v2)
+    cp2 = power(ws3, ws3.lplus, 2)
     lab = (1, 2)
     rng = random.Random(99)
     words = all_words(3, 2)
