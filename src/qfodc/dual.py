@@ -364,6 +364,55 @@ def row_groups(f):
     return groups
 
 
+def automaton(*fs):
+    """(x0, ys, gens) with fs[i](w) = (x0 rho(w)) . ys[i] for every word w:
+    rho is the direct sum of one copy of a rep per block, and gens
+    {generator: matrix} its values, over the labels (block, rep label).  A
+    block is the rows of one rep that read the same column coefficients in
+    one functional (row_groups), and x0 is the sum of every block's rows:
+    the rows (k, k) that l(v^i_j) reads in mrep(v) share one block."""
+    blocks = {}
+    for i, f in enumerate(fs):
+        for (rep, r), terms in row_groups(f).items():
+            blocks.setdefault((i, rep, frozenset(terms)), (terms, []))[1].append(r)
+    x0, ys, gens = {}, [{} for _ in fs], {}
+    for k, ((i, rep, _), (terms, rows)) in enumerate(blocks.items()):
+        for r in rows:
+            x0[(k, r)] = ONE
+        for c, co in terms:
+            ys[i][(k, c)] = co
+        for gen, m in rep.gens.items():
+            block = gens.setdefault(gen, {})
+            for a, row in m.items():
+                block[(k, a)] = {(k, b): v for b, v in row.items()}
+    return x0, ys, gens
+
+
+class ReachableSpan:
+    """The layered closure of start under mats.  grow() takes the states
+    of the last length one word further, times each matrix of mats, and
+    keeps a state when it is independent of start and of every state kept
+    before it.  start, when nonzero, and the states kept up to length t are
+    then a basis of the span of start m_1 ... m_s over s <= t."""
+
+    def __init__(self, start, mats):
+        self.mats = mats
+        self.basis, self.layer, self.length = [], [start], 0
+        linalg.extend(self.basis, start)
+
+    def grow(self):
+        """Yield the kept states of the next length as they are found; the
+        span is grown only once this is exhausted."""
+        last, self.layer = self.layer, []
+        self.length += 1
+        for x in last:
+            for m in self.mats:
+                z = linalg.vec_mat(x, m)
+                if linalg.extend(self.basis, z):
+                    self.layer.append(z)
+                    yield z
+
+
 def column_values(rep, x0, degree, cols=None):
     """{col: {word: (x0 rep(word))[col]}} over the words of degree <= degree,
     exact zeros omitted: one row per column, indexed by words.  With cols,
@@ -915,49 +964,39 @@ class Workspace:
         )
 
     def functional_equal(self, f, g, degree):
-        """Equality of functionals on all words up to degree, decided on the
-        reachable span of f - g.  Over the direct sum of its (rep, row)
-        groups, f - g reads w -> x0 rho(w) . y.  The states x0 rho(w) grow
-        one word length at a time from the states kept one length before;
-        a state independent of those kept so far is kept.  A dependent
-        state is a combination of kept ones, and so are its value and every
-        state it leads to, so f - g vanishes on the words of degree <= t
-        once it vanishes on the kept states of degree <= t, and a length
-        that keeps nothing closes the span.  False is definitive and comes
-        with the least degree of a word where they differ; True certifies
-        up to degree."""
+        """Equality of functionals on all words up to degree, decided on
+        whichever reachable span of f - g closes first.  f - g reads
+        w -> x0 rho(w) . y (automaton).  The forward span of the states
+        x0 rho(w) is read through y, the backward span of the states
+        rho(w) y, grown by the transposed generators, through x0.  Every
+        state of length t on a side is a combination of the states that
+        side kept up to length t (ReachableSpan), so f - g vanishes on the
+        words of degree <= t once those kept states read 0, and a length at
+        which a side keeps nothing closes its span: f - g then vanishes on
+        every word.
+
+        Each step grows by one word length the side whose last layer weighs
+        less, by the summed complexity of its entries.  A side has read every word shorter than its
+        length, so a nonzero value at length t makes t the least degree of
+        a word where f and g differ.  On the minor-tau pairs y reads the
+        highest-weight entry of a triangular L-functional, an eigenvector
+        of every generator, so the backward span keeps y alone.  False is
+        definitive and comes with that least degree; True certifies up to
+        degree."""
         degree = positive_or_default(degree, None, "degree")
-        x0, y, gens = {}, {}, {}
-        for k, ((rep, r), terms) in enumerate(row_groups(f - g).items()):
-            x0[(k, r)] = ONE
-            for c, co in terms:
-                y[(k, c)] = co
-            for gen, m in rep.gens.items():
-                block = gens.setdefault(gen, {})
-                for a, row in m.items():
-                    block[(k, a)] = {(k, b): v for b, v in row.items()}
-        gens = [gens[gen] for gen in sorted(gens)]
-
-        def value(x):
-            return sum((co * x[key] for key, co in y.items() if key in x), ZERO)
-
-        if not value(x0).is_zero():
+        x0, (y,), gens = automaton(f - g)
+        if not linalg.dot(x0, y).is_zero():
             return False, 0
-        basis, layer = [], [x0]
-        linalg.extend(basis, x0)
-        for t in range(1, degree + 1):
-            kept = []
-            for x in layer:
-                for m in gens:
-                    z = linalg.vec_mat(x, m)
-                    if not value(z).is_zero():
-                        return False, t
-                    if linalg.extend(basis, z):
-                        kept.append(z)
-            if not kept:
-                break
-            layer = kept
-        return True, degree
+        mats = [gens[gen] for gen in sorted(gens)]
+        sides = [(ReachableSpan(x0, mats), y),
+                 (ReachableSpan(y, [linalg.mat_transpose(m) for m in mats]), x0)]
+        while True:
+            span, read = min(sides, key=lambda side: sum(
+                v.complexity() for x in side[0].layer for v in x.values()))
+            if any(not linalg.dot(z, read).is_zero() for z in span.grow()):
+                return False, span.length
+            if not span.layer or span.length == degree:
+                return True, degree
 
     def coideal_check(self, basis, degree=None, gauge=TRIVIAL):
         """Bicovariance certificate for span(basis) + C eps on words of

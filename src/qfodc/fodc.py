@@ -270,10 +270,19 @@ def quantum_lie_from_central(ws, c, gauge=TRIVIAL):
     """Basis of span{chi_b = c(. b) - c(b) eps : b words}, by exact rank.
 
     The right translates chi_b of the central element, for b in all_words
-    order, are evaluated on the words of degree <= CHECK_DEGREE in one
-    batched call, and a translate is kept when its row is independent of
-    the rows kept before it.  The kept translates are returned,
-    MatRep-housed.
+    order, are decided on the words of degree <= CHECK_DEGREE, and a
+    translate is kept when its row is independent of the rows kept before
+    it.  The kept translates are returned, MatRep-housed.
+
+    The rows are decided in state coordinates.  With c and eps read as
+    x0 rho(w) . y and x0 rho(w) . e (dual.automaton),
+    chi_b(w) = xi_w . z_b for xi_w = x0 rho(w) and z_b = rho(b) y - c(b) e.
+    The states xi_w of degree <= CHECK_DEGREE have a basis x0 and xi_w,
+    w in W (dual.ReachableSpan), so each xi_w is a fixed combination of
+    them.  Every chi_b vanishes at the unit word, whose state is x0, so the
+    row of chi_b is an injective image of its values on W: rows are
+    independent exactly when their values on W are.  Once |W| rows are
+    kept no later one is, and only the kept translates are built.
 
     c may be given in the gauge of `gauge` (see QuantumLieAlgebra); the
     translates are then c(. b) - c(b) eps_{gauge^-1}, the gauged chi_b each
@@ -283,11 +292,27 @@ def quantum_lie_from_central(ws, c, gauge=TRIVIAL):
     if not is_central(ws, c, degree):
         raise NotCentralError("functional is not central")
     eps_g = ws.eps_zeta(gauge.inverse())
-    chis = [_right_translate(c, b, eps_g) for b in dual.all_words(ws.N, degree)]
-    basis = []
-    # one reduction per translate decides membership and extends the basis
-    return [chi for chi, row in zip(chis, dual.word_values(chis, degree))
-            if linalg.extend(basis, row)]
+    x0, (y, e), gens = dual.automaton(c, eps_g)
+    span, states = dual.ReachableSpan(x0, [gens[g] for g in sorted(gens)]), []
+    for _ in range(degree):
+        states += span.grow()
+    eps_on_w = [linalg.dot(x, e) for x in states]
+    transposed = {g: linalg.mat_transpose(m) for g, m in gens.items()}
+    z, basis, kept = {(): y}, [], []
+    for b in dual.all_words(ws.N, degree):
+        if len(basis) == len(states):
+            break
+        if b:
+            z[b] = linalg.vec_mat(z[b[1:]], transposed.get(b[0], {}))
+        cb = linalg.dot(x0, z[b])
+        row = {}
+        for k, (x, ex) in enumerate(zip(states, eps_on_w)):
+            v = linalg.dot(x, z[b]) - cb * ex
+            if not v.is_zero():
+                row[k] = v
+        if linalg.extend(basis, row):
+            kept.append(_right_translate(c, b, eps_g))
+    return kept
 
 
 def _right_translate(c, b, eps):

@@ -179,6 +179,19 @@ def vec_mat(x, a):
     return out
 
 
+def dot(x, y):
+    """The sum of x[k] * y[k] over the keys k of y, for sparse vectors."""
+    return sum((v * x[k] for k, v in y.items() if k in x), ZERO)
+
+
+def mat_transpose(a):
+    out = {}
+    for r, row in a.items():
+        for c, v in row.items():
+            out.setdefault(c, {})[r] = v
+    return out
+
+
 def mat_inverse(a, labels):
     """Exact inverse of a square matrix on labels; raises ArithmeticError if
     singular.  The rows of a are eliminated forward (extend_tracked), row r

@@ -24,6 +24,11 @@ def ws3():
     return Workspace(FieldConfig.sl(3))
 
 
+@pytest.fixture(scope="module")
+def wsp4():
+    return Workspace(FieldConfig.sp(2))
+
+
 # -- quantum Lie algebras ------------------------------------------------------
 
 def test_trivial_pairs(ws2):
@@ -333,13 +338,14 @@ def test_central_generation_matches_lie(ws2):
     assert linalg.rank(rows_c) == linalg.rank(rows_x) == linalg.rank(rows_c + rows_x)
 
 
-def _translates_by_products(ws, c):
-    """Reference for quantum_lie_from_central: the rows a -> c(ab) - eps(a) c(b)
-    over |a|, |b| <= CHECK_DEGREE, read off c's values up to twice that
-    degree and reduced greedily in all_words order.  Returns the picked
-    words b and their rows."""
+def _translates_by_products(ws, c, gauge=Zeta(1, 0)):
+    """Reference for quantum_lie_from_central: the rows
+    a -> c(ab) - eps_{gauge^-1}(a) c(b) over |a|, |b| <= CHECK_DEGREE, read
+    off c's values up to twice that degree and reduced greedily in
+    all_words order.  Returns the picked words b and their rows."""
     degree = dual.CHECK_DEGREE
     ctab = c.word_values(2 * degree)
+    eps = dual.eps_word_values(degree, ws.N, gauge.inverse())
     words = all_words(ws.N, degree)
     basis, picked, rows = [], [], []
     for b in words:
@@ -347,8 +353,8 @@ def _translates_by_products(ws, c):
         row = {}
         for a in words:
             v = ctab.get(a + b, ZERO)
-            if all(i == j for i, j in a):
-                v = v - cb
+            if a in eps:
+                v = eps[a] * -cb + v
             if not v.is_zero():
                 row[a] = v
         rest = linalg.reduce_row(row, basis)
@@ -359,21 +365,41 @@ def _translates_by_products(ws, c):
     return picked, rows
 
 
-@pytest.mark.parametrize("wsname, zeta", [
-    ("ws2", Zeta(2, 1)),
-    ("ws3", Zeta(1, 0)),
-], ids=["sl2-zeta=-1", "sl3-zeta=1"])
-def test_central_translates_match_the_product_construction(wsname, zeta, request):
-    # translates evaluated at degree 3 pick the same words, with the same
-    # rows, as c(ab) - eps(a) c(b) read from c's values at degree 6
+def _central_of(*descs, zeta):
+    """ws -> the sum of c_zeta(v) over the coreps v named by descs."""
+    return lambda ws: sum(
+        (fodc.central_element(ws, ws.corep(d), zeta) for d in descs), Functional([]))
+
+
+# (workspace, c, gauge, CHECK_DEGREE): the product reference reads c on
+# words of twice the degree, so the Sp_q(4) and the cyclotomic SL_q(3)
+# cases are decided at degree 2.  c1 + c2 is housed in two representations,
+# and eps + eps_{-1} keeps chi[1] only because chi_b subtracts c(b) eps.
+@pytest.mark.parametrize("wsname, central, gauge, degree", [
+    ("ws2", _central_of("u", zeta=Zeta(2, 1)), Zeta(1, 0), 3),
+    ("ws3", _central_of("u", zeta=Zeta(1, 0)), Zeta(1, 0), 3),
+    ("wsp4", _central_of("u", zeta=Zeta(2, 1)), Zeta(1, 0), 2),
+    ("ws2", _central_of("u", zeta=Zeta(1, 0)), Zeta(2, 1), 3),
+    ("ws3", _central_of("u", zeta=Zeta(1, 0)), Zeta(3, 1), 2),
+    ("ws2", _central_of("1", "u", zeta=Zeta(2, 1)), Zeta(1, 0), 3),
+    ("ws2", lambda ws: ws.eps_functional() + ws.eps_zeta(Zeta(2, 1)), Zeta(1, 0), 3),
+], ids=["sl2-zeta=-1", "sl3-zeta=1", "sp4-zeta=-1", "sl2-gauge=-1", "sl3-gauge=w",
+        "sl2-c1+c2", "sl2-eps+eps(-1)"])
+def test_central_translates_match_the_product_construction(
+        wsname, central, gauge, degree, request, monkeypatch):
+    # translates decided in state coordinates pick the same words, with the
+    # same rows, as c(ab) - eps(a) c(b) read from c's values at twice the
+    # degree
     ws = request.getfixturevalue(wsname)
-    c = fodc.central_element(ws, ws.corep("u"), zeta)
-    words, rows = _translates_by_products(ws, c)
-    gens = fodc.quantum_lie_from_central(ws, c)
-    # a translate with c(b) != 0 is labelled chi[b]+eps
-    labels = [f.label.removesuffix("+eps") for f in gens]
+    monkeypatch.setattr(dual, "CHECK_DEGREE", degree)
+    c = central(ws)
+    words, rows = _translates_by_products(ws, c, gauge)
+    gens = fodc.quantum_lie_from_central(ws, c, gauge)
+    # a translate with c(b) != 0 is labelled chi[b]+eps, or chi[b]+eps[..]
+    # in a gauge
+    labels = [f.label.split("+eps")[0] for f in gens]
     assert labels == [f"chi[{coordalg.word_str(b)}]" for b in words]
-    assert dual.word_values(gens, dual.CHECK_DEGREE) == rows
+    assert dual.word_values(gens, degree) == rows
 
 
 def test_central_counit_generates_nothing(ws2):

@@ -1,5 +1,6 @@
-"""Workspace.functional_equal decides equality on the reachable span of
-f - g; the word walk it replaced is kept here as the reference."""
+"""Workspace.functional_equal decides equality on whichever reachable span
+of f - g closes first, forward or backward; the word walk it replaced is
+kept here as the reference."""
 
 import functools
 import hashlib
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfodc import cli, dual
+from qfodc import cli, dual, linalg
 from qfodc.coordalg import YoungWeight
 from qfodc.dual import Functional, Workspace
 from qfodc.scalar import FieldConfig, ONE, Scalar
@@ -110,16 +111,22 @@ def sides(draw, name):
 
 @st.composite
 def pairs(draw):
-    """(workspace, f, g): independent sides; f and f plus a multiple of the
-    minor-tau identity l(u)^1_1 - tau(-2 omega_1) = 0 (an equal pair with
-    other terms); or f and f plus combinations of atoms that vanish on the
-    words shorter than 2 or 3 (a first difference at degree >= 2, if any)."""
+    """(workspace, f, g): independent sides; an L+ entry against an L- entry
+    (the backward span is often the larger, see
+    test_l_plus_against_l_minus); f and f plus a multiple of the minor-tau
+    identity l(u)^1_1 - tau(-2 omega_1) = 0 (an equal pair with other
+    terms); or f and f plus combinations of atoms that vanish on the words
+    shorter than 2 or 3 (a first difference at degree >= 2, if any)."""
     name = draw(st.sampled_from(sorted(CONFIGS)))
     ws = workspace(name)
     f = draw(sides(name))
-    kind = draw(st.sampled_from(("free", "identity", "deep")))
+    kind = draw(st.sampled_from(("free", "plus-minus", "identity", "deep")))
     if kind == "free":
         return ws, f, draw(sides(name))
+    if kind == "plus-minus":
+        n = ws.N * ws.N
+        plus, minus = draw(st.integers(0, n - 1)), draw(st.integers(n, 2 * n - 1))
+        return ws, atoms(name)[plus].scaled(draw(COEFFS)), atoms(name)[minus].scaled(draw(COEFFS))
     if kind == "identity":
         zero = ws.l_entry(ws.corep("u"), 0, 0) - ws.tau_functional(YoungWeight.fundamental(1))
         return ws, f, f + zero.scaled(draw(COEFFS))
@@ -153,6 +160,63 @@ def test_a_first_difference_deep_in_the_words_is_found(name, length):
     assert all(eq or deg >= length for eq, deg in firsts)
 
 
+def span_dims(f, g):
+    """Dimensions of the forward and backward reachable spans of f - g."""
+    x0, (y,), gens = dual.automaton(f - g)
+    mats = [gens[gen] for gen in sorted(gens)]
+    dims = []
+    for start, ms in ((x0, mats), (y, [linalg.mat_transpose(m) for m in mats])):
+        span = dual.ReachableSpan(start, ms)
+        while list(span.grow()):
+            pass
+        dims.append(len(span.basis))
+    return dims
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
+def test_l_plus_against_l_minus(name):
+    # every L+ entry against every L- entry, on pairs where the backward
+    # span is the larger one and on pairs where it is the smaller
+    ws = workspace(name)
+    n = ws.N * ws.N
+    pool = atoms(name)
+    larger = set()
+    for f in pool[:n]:
+        for g in pool[n:2 * n]:
+            assert ws.functional_equal(f, g, 3) == word_walk_equal(f, g, 3)
+            forward, backward = span_dims(f, g)
+            larger.add(backward > forward)
+    assert larger == {True, False}
+
+
+def count_extends(monkeypatch):
+    """Patch linalg.extend to count its calls; returns the counter."""
+    calls = [0]
+    extend = linalg.extend
+
+    def counted(basis, row):
+        calls[0] += 1
+        return extend(basis, row)
+
+    monkeypatch.setattr(linalg, "extend", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_minor_tau_is_decided_on_the_backward_span(n, monkeypatch):
+    # the column that l(minor:2)^1_1 reads is an eigenvector of every
+    # generator, so the backward span closes after the N^2 states of length
+    # 1: x0, y and N^2 candidates reach the elimination.  The forward span
+    # alone took 1,345 (SL_q(4)) and 8,251 (SL_q(5)) of them.
+    ws = Workspace(FieldConfig.sl(n))
+    f = ws.l_entry(ws.corep("minor:2"), 0, 0)
+    g = ws.tau_functional(YoungWeight.fundamental(2))
+    calls = count_extends(monkeypatch)
+    assert ws.functional_equal(f, g, 4) == (True, 4)
+    assert calls[0] <= n * n + 2
+    assert span_dims(f, g)[1] == 1
+
+
 def word_indicator(N, word):
     """The entry (0, |word|) of a path automaton: 1 on word, 0 on every
     other word."""
@@ -168,6 +232,29 @@ def test_every_word_is_reached():
     for word in dual.all_words(ws.N, 3):
         f = word_indicator(ws.N, word)
         assert ws.functional_equal(f, zero, 3) == word_walk_equal(f, zero, 3) == (False, len(word))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("word", [((1, 1), (2, 2)), ((1, 2), (2, 1)), ((2, 2), (1, 1), (1, 2))])
+def test_a_difference_found_on_the_backward_side(name, word, monkeypatch):
+    # the minor-tau identity makes the forward span the heavier; a word
+    # indicator on top of it differs first on that word, and the backward
+    # side, reading its states through x0, finds it
+    ws = workspace(name)
+    f = ws.l_entry(ws.corep("u"), 0, 0)
+    g = ws.tau_functional(YoungWeight.fundamental(1)) + word_indicator(ws.N, word)
+    reads = []
+    dot = linalg.dot
+
+    def read(x, y):
+        reads.append(y)
+        return dot(x, y)
+
+    monkeypatch.setattr(linalg, "dot", read)
+    got = ws.functional_equal(f, g, 4)
+    assert got == word_walk_equal(f, g, 4) == (False, len(word))
+    x0, _, _ = dual.automaton(f - g)
+    assert reads[-1] == x0
 
 
 MINOR_TAU = [
