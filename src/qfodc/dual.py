@@ -83,8 +83,11 @@ def check_word_count(N, degree, limit=MAX_WORDS):
 
 
 def positive_or_default(value, default, name):
-    """value, or default when value is None; a value below 1 is a ValueError."""
+    """value, or default when value is None; a value below 1, or no value
+    and no default, is a ValueError."""
     value = default if value is None else value
+    if value is None:
+        raise ValueError(f"{name} must be given")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
     return value
@@ -98,10 +101,9 @@ class MatRep:
     """Multiplicative matrix-valued map on words, given by generator values.
 
     gens maps (i, j) -> sparse matrix {row: {col: value}}; missing matrices
-    are zero.  Values may be Scalar or CycElem.
+    are zero.  Values may be Scalar or CycElem.  A MatRep hashes by
+    identity, so caches key on the object itself.
     """
-
-    _counter = 0
 
     def __init__(self, N, labels, gens, name):
         self.N = N
@@ -109,8 +111,6 @@ class MatRep:
         self.gens = gens
         self.name = name
         self._word_cache = {}
-        MatRep._counter += 1
-        self.uid = MatRep._counter
 
     def gen_matrix(self, i, j):
         return self.gens.get((i, j), {})
@@ -333,54 +333,52 @@ class Functional:
         return f"Functional[{self.label or len(self.terms)} terms]"
 
 
+def blocks(fs):
+    """[(rep, rows, reads)]: the rows of each rep grouped by what the family
+    fs reads on them, in order of first appearance.  reads maps the index k
+    of each functional that reads a row to its [(col, coeff), ...] there,
+    and the rows of one block have identical reads, so that
+    fs[k](w) = sum over blocks of (x rep(w)) . (sum coeff e_col), x the sum
+    of the block's rows: the rows (k, k) that l(v^i_j) reads in mrep(v)
+    form one block.  Every reader of a family goes through these blocks."""
+    reads = {}
+    for k, f in enumerate(fs):
+        for rep, r, c, co in f.terms:
+            reads.setdefault((rep, r), {}).setdefault(k, []).append((c, co))
+    out = {}
+    for (rep, r), by_f in reads.items():
+        key = frozenset((k, c, co) for k, terms in by_f.items() for c, co in terms)
+        out.setdefault((rep, key), (rep, [], by_f))[1].append(r)
+    return list(out.values())
+
+
 def word_values(fs, degree):
     """Values of each functional in fs on all words of degree <= degree, as
-    one {word: value} dict per functional (exact zeros omitted).
-
-    One traversal per distinct (rep, row) serves every term of every
-    functional that reads that row: each functional is a combination of the
-    column rows of its (rep, row) groups."""
-    groups = {}
-    for k, f in enumerate(fs):
-        for key, terms in row_groups(f).items():
-            groups.setdefault(key, {})[k] = terms
+    one {word: value} dict per functional (exact zeros omitted).  One
+    traversal per block, started at the sum of its rows, serves every
+    functional that reads the block."""
     out = [{} for _ in fs]
-    for (rep, r), by_f in groups.items():
-        read = dict.fromkeys(c for terms in by_f.values() for c, _ in terms)
-        cols = column_values(rep, {r: ONE}, degree, read)
-        for k, terms in by_f.items():
+    for rep, rows, reads in blocks(fs):
+        read = dict.fromkeys(c for terms in reads.values() for c, _ in terms)
+        cols = column_values(rep, dict.fromkeys(rows, ONE), degree, read)
+        for k, terms in reads.items():
             for c, co in terms:
                 linalg.add_scaled(out[k], co, cols[c])
     return out
 
 
-def row_groups(f):
-    """{(rep, row): [(col, coeff), ...]}: f's terms grouped by the row of
-    the representation they read, so that f(w) is the sum over groups of
-    (e_row rep(w)) . (sum coeff e_col)."""
-    groups = {}
-    for rep, r, c, co in f.terms:
-        groups.setdefault((rep, r), []).append((c, co))
-    return groups
-
-
 def automaton(*fs):
     """(x0, ys, gens) with fs[i](w) = (x0 rho(w)) . ys[i] for every word w:
-    rho is the direct sum of one copy of a rep per block, and gens
-    {generator: matrix} its values, over the labels (block, rep label).  A
-    block is the rows of one rep that read the same column coefficients in
-    one functional (row_groups), and x0 is the sum of every block's rows:
-    the rows (k, k) that l(v^i_j) reads in mrep(v) share one block."""
-    blocks = {}
-    for i, f in enumerate(fs):
-        for (rep, r), terms in row_groups(f).items():
-            blocks.setdefault((i, rep, frozenset(terms)), (terms, []))[1].append(r)
+    rho is the direct sum of one copy of a rep per block (blocks), and gens
+    {generator: matrix} its values, over the labels (block, rep label); x0
+    is the sum of every block's rows."""
     x0, ys, gens = {}, [{} for _ in fs], {}
-    for k, ((i, rep, _), (terms, rows)) in enumerate(blocks.items()):
+    for k, (rep, rows, reads) in enumerate(blocks(fs)):
         for r in rows:
             x0[(k, r)] = ONE
-        for c, co in terms:
-            ys[i][(k, c)] = co
+        for i, terms in reads.items():
+            for c, co in terms:
+                ys[i][(k, c)] = co
         for gen, m in rep.gens.items():
             block = gens.setdefault(gen, {})
             for a, row in m.items():
@@ -413,17 +411,15 @@ class ReachableSpan:
                     yield z
 
 
-def column_values(rep, x0, degree, cols=None):
-    """{col: {word: (x0 rep(word))[col]}} over the words of degree <= degree,
-    exact zeros omitted: one row per column, indexed by words.  With cols,
-    exactly those columns (each present, perhaps empty); without, every
-    column that is nonzero on some word, in order of first appearance.
-    This is the one walk of the word tree; every word-indexed row is read
-    off it."""
-    out = {} if cols is None else {c: {} for c in cols}
+def column_values(rep, x0, degree, cols):
+    """{col: {word: (x0 rep(word))[col]}} for each col in cols over the
+    words of degree <= degree, exact zeros omitted: one row per column,
+    indexed by words, each present, perhaps empty.  This is the one walk of
+    the word tree; every word-indexed row is read off it."""
+    out = {c: {} for c in cols}
     for word, state in iter_word_states(rep, x0, degree):
         for c, v in state.items():
-            row = out.setdefault(c, {}) if cols is None else out.get(c)
+            row = out.get(c)
             if row is not None:
                 row[word] = v
     return out
@@ -554,7 +550,7 @@ class Workspace:
 
     def _conv(self, frep, grep):
         """conv(frep, grep), cached per pair of reps."""
-        return self._cached(("conv", frep.uid, grep.uid), conv, frep, grep)
+        return self._cached(("conv", frep, grep), conv, frep, grep)
 
     def lplus_entry(self, i, j):
         return Functional([(self.lplus, i, j, ONE)], f"l+[{i},{j}]")
@@ -907,12 +903,12 @@ class Workspace:
 
     def _antipode(self, rep):
         """antipode_rep(rep), cached per rep."""
-        return self._cached(("S", rep.uid), antipode_rep, rep, self.config)
+        return self._cached(("S", rep), antipode_rep, rep, self.config)
 
     def _ad_rep(self, frep, xrep):
         """conv(S(frep), conv(xrep, frep)), the MatRep that houses ad_R(f)x
         for f inside frep and x inside xrep (cached)."""
-        return self._cached(("ad", frep.uid, xrep.uid), lambda: conv(
+        return self._cached(("ad", frep, xrep), lambda: conv(
             self._antipode(frep), self._conv(xrep, frep)
         ))
 
@@ -1049,28 +1045,22 @@ class Workspace:
 
     def _ad_invariant(self, basis, rows, degree):
         """(ii) ad_R(f) X lies in the span of rows for every l+/l- generator
-        entry f and every basis functional X.  One traversal per (sign,
-        X-rep, X-row) serves every f and every X."""
+        entry f and every basis functional X.  For f = frep^a_b, ad_R(f) X =
+        S(f_(1)) X f_(2) is the Functional on _ad_rep(frep, X's rep) with
+        the terms ((k, (r, k)), (a, (c, b))) over k for each term (r, c) of
+        X, read for every f and X in one word_values call per sign."""
         span = linalg.echelon(rows)
         idx = range(1, self.N + 1)
-        xcols = {}
-        for x in basis:
-            for rep, r, c, co in x.terms:
-                xcols.setdefault((rep, r), {})[c] = None
         for frep in (self.lplus, self.lminus):
-            tables = {}
-            for (xrep, xr), cs in xcols.items():
-                x0 = {(k, (xr, k)): ONE for k in frep.labels}
-                read = [(a, (xc, b)) for xc in cs for a in idx for b in idx]
-                tables[(xrep, xr)] = column_values(self._ad_rep(frep, xrep), x0, degree, read)
-            for a in idx:
-                for b in idx:
-                    for x in basis:
-                        row = {}
-                        for xrep, xr, xc, xco in x.terms:
-                            linalg.add_scaled(row, xco, tables[(xrep, xr)][(a, (xc, b))])
-                        if not linalg.in_row_space(span, row):
-                            return False
+            ads = [
+                Functional([
+                    (self._ad_rep(frep, xrep), (k, (xr, k)), (a, (xc, b)), xco)
+                    for xrep, xr, xc, xco in x.terms for k in frep.labels
+                ])
+                for a in idx for b in idx for x in basis
+            ]
+            if not all(linalg.in_row_space(span, row) for row in word_values(ads, degree)):
+                return False
         return True
 
 
@@ -1135,7 +1125,7 @@ def _letter_walk(m, w, side, walks):
     the states (r, current column, other-leg prefix), exact zeros dropped;
     eps is diagonal and L+, L- are triangular, so most of the N^k splits
     die early.  Each prefix is cached in walks per (letter, side)."""
-    key = (m.uid, side, w)
+    key = (m, side, w)
     out = walks.get(key)
     if out is not None:
         return out

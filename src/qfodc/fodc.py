@@ -58,20 +58,20 @@ def lie_rows(ws, v, zeta, degree, gauge=TRIVIAL):
     character.  Returns {(i, j): {word: value}} with 0-based entry indices.
     """
     x0 = {(k, k): ONE for k in range(1, v.dim + 1)}
-    cols = dual.column_values(ws.mrep(v), x0, degree)
+    entries = [(i, j) for i in range(1, v.dim + 1) for j in range(1, v.dim + 1)]
+    cols = dual.column_values(ws.mrep(v), x0, degree, entries)
     grade = zeta / gauge
     zpow = [grade.power_value(t) for t in range(degree + 1)]
     eps_tab = eps_word_values(degree, ws.N, gauge.inverse())
     rows = {}
-    for i in range(v.dim):
-        for j in range(v.dim):
-            row = rows[(i, j)] = cols.get((i + 1, j + 1), {})
-            for w, val in row.items():
-                z = zpow[len(w)]
-                if z is not ONE:
-                    row[w] = z * val
-            if i == j:
-                linalg.add_scaled(row, MINUS_ONE, eps_tab)
+    for i, j in entries:
+        row = rows[(i - 1, j - 1)] = cols[(i, j)]
+        for w, val in row.items():
+            z = zpow[len(w)]
+            if z is not ONE:
+                row[w] = z * val
+        if i == j:
+            linalg.add_scaled(row, MINUS_ONE, eps_tab)
     return rows
 
 
@@ -377,11 +377,12 @@ def tensor_identity_check(ws, v, w, degree=None):
     l(w)-entries}, certified by mutual rank containment."""
     degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     vw = coordalg.tensor(v, w)
-    x0 = {(k, k): ONE for k in range(1, vw.dim + 1)}
-    rows_a = list(dual.column_values(ws.mrep(vw), x0, degree).values())
-    prod = dual.conv(ws.mrep(v), ws.mrep(w))
-    x0p = {((k, k), (t, t)): ONE for k in range(1, v.dim + 1) for t in range(1, w.dim + 1)}
-    rows_b = list(dual.column_values(prod, x0p, degree).values())
+
+    def entries(c):
+        return [ws.l_entry(c, i, j) for i in range(c.dim) for j in range(c.dim)]
+
+    rows_a = dual.word_values(entries(vw), degree)
+    rows_b = dual.word_values([ws.convolve(a, b) for a in entries(v) for b in entries(w)], degree)
     (ra, rb), rab = dual.span_ranks(rows_a, rows_b)
     return ra == rb == rab, degree
 

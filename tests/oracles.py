@@ -62,11 +62,11 @@ def nested_label(seq):
 
 def power(ws, base, k):
     """conv_power(base, k), cached per (base, k) in the workspace."""
-    return ws._cached(("power", base.uid, k), conv_power, base, k)
+    return ws._cached(("power", base, k), conv_power, base, k)
 
 
-# pair_words values per (base.uid, word, fixed); a MatRep's uid is unique
-# across workspaces
+# pair_words values per (base, word, fixed); a MatRep hashes by identity,
+# and the memo keeps every base it keys alive
 _PAIR_MEMO = {}
 
 
@@ -75,7 +75,7 @@ def pair_words(ws, base, word, fixed):
     read right to left, on word: r(word (x) fixed) for base L+ and
     rbar(fixed (x) word) for base L-.  The empty fixed word gives the
     counit of word."""
-    key = (base.uid, word, fixed)
+    key = (base, word, fixed)
     v = _PAIR_MEMO.get(key)
     if v is None:
         if not fixed:

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qfodc import coordalg, dual, fodc, linalg, rmat
 from qfodc.cli import parse_zeta
 from qfodc.coordalg import CoordElem, YoungWeight, coproduct, coproduct_splits
-from qfodc.cyclotomic import Zeta, all_admissible
+from qfodc.cyclotomic import TRIVIAL, Zeta, all_admissible
 from qfodc.dual import (
     AntipodeFailureError,
     Functional,
@@ -597,13 +597,10 @@ def test_column_values_match_entries_word_by_word(data):
     starts = data.draw(st.lists(st.sampled_from(rep.labels), min_size=1, max_size=2, unique=True))
     x0 = {r: data.draw(scalars()) for r in starts}
     x0[starts[0]] = data.draw(CYC_COEFFS)
-    cols = data.draw(st.none() | st.lists(st.sampled_from(rep.labels), max_size=3, unique=True))
+    cols = data.draw(st.lists(st.sampled_from(rep.labels), max_size=3, unique=True))
     got = dual.column_values(rep, x0, degree, cols)
-    want = {}
-    for col in rep.labels if cols is None else cols:
-        row = _entries_by_word([(rep, r, col, co) for r, co in x0.items()], n, degree)
-        if row or cols is not None:
-            want[col] = row
+    want = {col: _entries_by_word([(rep, r, col, co) for r, co in x0.items()], n, degree)
+            for col in cols}
     assert got.keys() == want.keys()
     assert all(_same_rows(got[col], want[col]) for col in want)
 
@@ -611,20 +608,66 @@ def test_column_values_match_entries_word_by_word(data):
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_word_values_match_entries_word_by_word(data):
+    # two or three rows of one rep carry the same (col, coeff) pattern in
+    # every functional, so they form one block; a copy of the pattern on one
+    # more row with a single coefficient doubled does not join it
     n = data.draw(st.sampled_from((2, 3)))
     pool = _rep_pool(n)
     degree = data.draw(st.integers(0, 3))
+    rep = data.draw(st.sampled_from([r for r in pool if len(r.labels) >= 3]))
+    shared = data.draw(st.lists(st.sampled_from(rep.labels), min_size=3, max_size=4, unique=True))
+    rows, odd = shared[:-1], shared[-1]
 
     def entry():
-        rep = data.draw(st.sampled_from(pool))
-        return rep, data.draw(st.sampled_from(rep.labels)), data.draw(st.sampled_from(rep.labels))
+        free = [r for r in pool if r is not rep or len(r.labels) > len(shared)]
+        other = data.draw(st.sampled_from(free))
+        labels = [r for r in other.labels if other is not rep or r not in shared]
+        return other, data.draw(st.sampled_from(labels)), data.draw(st.sampled_from(other.labels))
 
-    fs = []
+    patterns = []
     for _ in range(data.draw(st.integers(1, 3))):
+        cols = data.draw(st.lists(st.sampled_from(rep.labels), min_size=1, max_size=2, unique=True))
+        patterns.append([(c, data.draw(scalars() | CYC_COEFFS)) for c in cols])
+    changed = data.draw(st.integers(0, len(patterns) - 1))
+    fs = []
+    for k, pattern in enumerate(patterns):
         terms = [(*entry(), data.draw(scalars())) for _ in range(data.draw(st.integers(0, 2)))]
+        terms += [(rep, r, c, co) for r in rows for c, co in pattern]
+        terms += [(rep, odd, c, co + co if (k, t) == (changed, 0) else co)
+                  for t, (c, co) in enumerate(pattern)]
         fs.append(Functional(terms + [(*entry(), data.draw(CYC_COEFFS))]))
     for f, got in zip(fs, dual.word_values(fs, degree)):
         assert _same_rows(got, _entries_by_word(f.terms, n, degree))
+    block_rows = [set(rs) for r, rs, _ in dual.blocks(fs) if r is rep]
+    assert set(rows) in block_rows and {odd} in block_rows
+
+
+def _count_walks(monkeypatch):
+    """A list that gains one entry per dual.column_values walk."""
+    walks, walk = [], dual.column_values
+
+    def counted(*args):
+        walks.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(dual, "column_values", counted)
+    return walks
+
+
+def test_centrality_and_ad_invariance_walk_once_per_block(ws3, monkeypatch):
+    # the rows (k, k) of mrep(u) that c_1(u) and the l(u^i_j) read merge:
+    # is_central walks once per (commutator rep, L-row), 4 x 3, not 36 times,
+    # and ad-invariance once per sign, not once per sign and row
+    u = ws3.corep("u")
+    c = fodc.central_element(ws3, u, TRIVIAL)
+    basis = [ws3.l_entry(u, i, j) for i in range(3) for j in range(3)]
+    rows = _span_rows(ws3, basis, 3)
+    walks = _count_walks(monkeypatch)
+    assert fodc.is_central(ws3, c, 3)
+    assert len(walks) == 12
+    del walks[:]
+    assert ws3._ad_invariant(basis, rows, 3)
+    assert len(walks) == 2
 
 
 # -- separation -------------------------------------------------------------

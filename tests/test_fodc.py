@@ -480,6 +480,14 @@ def test_degree_or_length_below_one_is_rejected(ws2, call, value):
         call(ws2, value)
 
 
+def test_functional_equal_without_a_degree_is_rejected(ws2):
+    # functional_equal has no default degree, so None is a ValueError that
+    # names the parameter, not a comparison of None with 1
+    f = ws2.lplus_entry(1, 1)
+    with pytest.raises(ValueError, match="degree must be given"):
+        ws2.functional_equal(f, f, None)
+
+
 # -- classification ----------------------------------------------------------------
 
 def test_classify_single_component(ws2):
