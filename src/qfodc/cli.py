@@ -178,7 +178,7 @@ def cmd_build(args, ws, zeta):
         "dim": lie.certified_dim,
         "rank_with_eps": lie.rank_with_eps,
         "cert_degree": lie.cert_degree,
-        "basis": [x.label for x in lie.basis if x.terms],
+        "basis": [x.label for x in lie.basis],
         "invariant_dim_nominal": v.dim * v.dim,
     }
     return emit(args, payload, 0)

@@ -253,20 +253,19 @@ def antipode_rep(f, config):
     return MatRep(N, f.labels, gens, f"S({f.name})")
 
 
+def rep_value(m, a):
+    """m(a) = sum_w c_w m(w) for a CoordElem a, as a sparse matrix with
+    exact zeros and empty rows dropped."""
+    mat = {}
+    for w, c in a.terms.items():
+        for r, row in m.word_matrix(w).items():
+            linalg.add_scaled(mat.setdefault(r, {}), c, row)
+    return {r: row for r, row in mat.items() if row}
+
+
 def corep_values(m, cor):
-    """[[m(v^i_j)]]: the representation m on each entry of cor,
-    sum_w c_w m(w), as sparse matrices with exact zeros dropped."""
-    out = []
-    for entry_row in cor.entries:
-        mats = []
-        for entry in entry_row:
-            mat = {}
-            for w, c in entry.terms.items():
-                for r, row in m.word_matrix(w).items():
-                    linalg.add_scaled(mat.setdefault(r, {}), c, row)
-            mats.append({r: row for r, row in mat.items() if row})
-        out.append(mats)
-    return out
+    """[[m(v^i_j)]]: the representation m on each entry of cor (rep_value)."""
+    return [[rep_value(m, entry) for entry in entry_row] for entry_row in cor.entries]
 
 
 def read_on_corep(m, v, transpose, name):
@@ -612,11 +611,7 @@ class Workspace:
         if diff.is_zero():
             return True, 0
         for l, rep in self.separating_reps(length):
-            total = {}
-            for w, c in diff.terms.items():
-                for r, row in rep.word_matrix(w).items():
-                    linalg.add_scaled(total.setdefault(r, {}), c, row)
-            if any(total.values()):
+            if rep_value(rep, diff):
                 return False, l
         return True, length
 
@@ -803,8 +798,6 @@ class Workspace:
                 )
 
     def tensor_power_corep(self, k):
-        if k == 0:
-            return self.corep("1")
         desc = "u"
         for _ in range(k - 1):
             desc = f"tensor(u,{desc})"
@@ -960,39 +953,29 @@ class Workspace:
         )
 
     def functional_equal(self, f, g, degree):
-        """Equality of functionals on all words up to degree, decided on
-        whichever reachable span of f - g closes first.  f - g reads
-        w -> x0 rho(w) . y (automaton).  The forward span of the states
-        x0 rho(w) is read through y, the backward span of the states
-        rho(w) y, grown by the transposed generators, through x0.  Every
-        state of length t on a side is a combination of the states that
-        side kept up to length t (ReachableSpan), so f - g vanishes on the
-        words of degree <= t once those kept states read 0, and a length at
-        which a side keeps nothing closes its span: f - g then vanishes on
-        every word.
-
-        Each step grows by one word length the side whose last layer weighs
-        less, by the summed complexity of its entries.  A side has read every word shorter than its
-        length, so a nonzero value at length t makes t the least degree of
-        a word where f and g differ.  On the minor-tau pairs y reads the
-        highest-weight entry of a triangular L-functional, an eigenvector
-        of every generator, so the backward span keeps y alone.  False is
-        definitive and comes with that least degree; True certifies up to
-        degree."""
+        """Equality of functionals on all words up to degree, decided on the
+        backward reachable span of f - g.  f - g reads
+        w -> x0 rho(w) . y (automaton), which is x0 . rho(w) y: the states
+        rho(w) y, grown from y by the transposed generators
+        (ReachableSpan), are read through x0.  Every state of length t is a
+        combination of the states kept up to length t, so f - g vanishes on
+        the words of degree <= t once those kept states read 0, and a length
+        that keeps nothing closes the span: f - g then vanishes on every
+        word.  The span has read every word shorter than its length, so a
+        nonzero value at length t makes t the least degree of a word where
+        f and g differ.  On the minor-tau pairs y reads the highest-weight
+        entry of a triangular L-functional, an eigenvector of every
+        generator, so the span keeps y alone.  False is definitive and
+        comes with that least degree; True certifies up to degree."""
         degree = positive_or_default(degree, None, "degree")
         x0, (y,), gens = automaton(f - g)
         if not linalg.dot(x0, y).is_zero():
             return False, 0
-        mats = [gens[gen] for gen in sorted(gens)]
-        sides = [(ReachableSpan(x0, mats), y),
-                 (ReachableSpan(y, [linalg.mat_transpose(m) for m in mats]), x0)]
-        while True:
-            span, read = min(sides, key=lambda side: sum(
-                v.complexity() for x in side[0].layer for v in x.values()))
-            if any(not linalg.dot(z, read).is_zero() for z in span.grow()):
+        span = ReachableSpan(y, [linalg.mat_transpose(gens[gen]) for gen in sorted(gens)])
+        while span.layer and span.length < degree:
+            if any(not linalg.dot(z, x0).is_zero() for z in span.grow()):
                 return False, span.length
-            if not span.layer or span.length == degree:
-                return True, degree
+        return True, degree
 
     def coideal_check(self, basis, degree=None, gauge=TRIVIAL):
         """Bicovariance certificate for span(basis) + C eps on words of

@@ -115,8 +115,7 @@ class QuantumLieAlgebra:
         return dim, d
 
     def coideal_certificate(self, degree=None):
-        basis = [x for x in self.basis if x.terms]
-        return self.ws.coideal_check(basis, degree, self.gauge)
+        return self.ws.coideal_check(self.basis, degree, self.gauge)
 
 
 def quantum_lie(ws, v, zeta, gauge=TRIVIAL):
@@ -459,7 +458,7 @@ def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None,
     rows = [r for r in rows if r]
     coideal_ok = True
     if basis:
-        coideal_ok, _ = ws.coideal_check([x for x in basis if x.terms], degree, gauge)
+        coideal_ok, _ = ws.coideal_check(basis, degree, gauge)
     big = linalg.echelon(rows)
     total = len(big)
     candidates = []

@@ -136,16 +136,7 @@ def mat_add(a, b):
     out = {r: dict(row) for r, row in a.items()}
     for r, brow in b.items():
         row = out.setdefault(r, {})
-        for c, v in brow.items():
-            s = row.get(c)
-            if s is None:
-                row[c] = v
-            else:
-                s = s + v
-                if s.is_zero():
-                    del row[c]
-                else:
-                    row[c] = s
+        add_scaled(row, ONE, brow)
         if not row:
             del out[r]
     return out

@@ -156,7 +156,7 @@ def braid_eigenvalues(r):
     """
     coeffs = check_minimal_polynomial(r)
     deg = len(coeffs) - 1
-    bound = 2 * r.N * max(1, r.config.root_exponent) + 4
+    bound = 2 * r.N * r.config.root_exponent + 4
     roots = _monomial_roots(coeffs, bound)
     if len(roots) != deg:
         raise SpectralFailureError(

@@ -579,31 +579,23 @@ MAX_N = 16
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Ground data of one quantum group: series, matrix size and the fixed
-    root z used to normalize the universal r-form.
+    """Ground data of one quantum group: series and matrix size.
 
-    Series A is SL_q(N) with q = p^N and z = p^{-1} (so z^N = q^{-1} holds
-    identically in Q(p)); series C is Sp_q(2n) with q = p and z in {1, -1}.
+    Series A is SL_q(N) with q = p^N and the root z = p^{-1} that
+    normalizes the universal r-form (so z^N = q^{-1} holds identically in
+    Q(p)); series C is Sp_q(2n) with q = p and z = 1.
     """
 
     series: str
     N: int
-    root_exponent: int
-    z_choice: int = 1
 
     def __post_init__(self):
         if self.series == "A":
             if self.N < 2:
                 raise UnsupportedConfigError("series A needs N >= 2")
-            if self.root_exponent != self.N:
-                raise UnsupportedConfigError("series A uses q = p^N")
         elif self.series == "C":
             if self.N < 2 or self.N % 2:
                 raise UnsupportedConfigError("series C needs N = 2n, n >= 1")
-            if self.root_exponent != 1:
-                raise UnsupportedConfigError("series C uses q = p")
-            if self.z_choice not in (1, -1):
-                raise UnsupportedConfigError("series C needs z in {1, -1}")
         else:
             raise UnsupportedConfigError(f"unknown series {self.series!r}")
         if self.N > MAX_N:
@@ -613,11 +605,11 @@ class FieldConfig:
 
     @staticmethod
     def sl(N):
-        return FieldConfig("A", N, N)
+        return FieldConfig("A", N)
 
     @staticmethod
-    def sp(n, z_choice=1):
-        return FieldConfig("C", 2 * n, 1, z_choice)
+    def sp(n):
+        return FieldConfig("C", 2 * n)
 
     @property
     def rank(self):
@@ -630,14 +622,17 @@ class FieldConfig:
         return self.N if self.series == "A" else 2
 
     @property
+    def root_exponent(self):
+        """The exponent e of q = p^e."""
+        return self.N if self.series == "A" else 1
+
+    @property
     def q(self):
         return Scalar.p_power(self.root_exponent)
 
     @property
     def z(self):
-        if self.series == "A":
-            return Scalar.p_power(-1)
-        return ONE if self.z_choice == 1 else MINUS_ONE
+        return Scalar.p_power(-1) if self.series == "A" else ONE
 
     def __str__(self):
         if self.series == "A":

@@ -1,11 +1,11 @@
-"""Workspace.functional_equal decides equality on whichever reachable span
-of f - g closes first, forward or backward; the word walk it replaced is
-kept here as the reference."""
+"""Workspace.functional_equal decides equality on the backward reachable
+span of f - g; the word walk it replaced is kept here as the reference."""
 
 import functools
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,6 +255,40 @@ def test_a_difference_found_on_the_backward_side(name, word, monkeypatch):
     assert got == word_walk_equal(f, g, 4) == (False, len(word))
     x0, _, _ = dual.automaton(f - g)
     assert reads[-1] == x0
+
+
+def one_backward_span(ws, f, g, degree):
+    """ws.functional_equal(f, g, degree), asserting that it builds at most
+    one dual.ReachableSpan, started at y, and none at x0, where the forward
+    span starts (x0 = y = {} when f - g has no terms)."""
+    starts, span = [], dual.ReachableSpan
+
+    def recorded(start, mats):
+        starts.append(start)
+        return span(start, mats)
+
+    with mock.patch.object(dual, "ReachableSpan", recorded):
+        got = ws.functional_equal(f, g, degree)
+    x0, (y,), _ = dual.automaton(f - g)
+    assert starts in ([], [y])
+    assert not x0 or x0 not in starts
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_minor_tau_builds_one_backward_span(name):
+    ws = workspace(name)
+    for k in dual.minor_degrees(ws.config):
+        v = ws.corep("u" if k == 1 else f"minor:{k}")
+        f, g = ws.l_entry(v, 0, 0), ws.tau_functional(YoungWeight.fundamental(k))
+        assert one_backward_span(ws, f, g, 4) == (True, 4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(pair=pairs(), degree=st.integers(1, 4))
+def test_drawn_pairs_build_one_backward_span(pair, degree):
+    ws, f, g = pair
+    assert one_backward_span(ws, f, g, degree) == word_walk_equal(f, g, degree)
 
 
 MINOR_TAU = [

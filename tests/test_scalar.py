@@ -9,7 +9,6 @@ from qfodc.cyclotomic import CycRing, cyclotomic_coeffs
 from qfodc.scalar import (
     FieldConfig,
     MAX_N,
-    MINUS_ONE,
     ONE,
     Scalar,
     UnsupportedConfigError,
@@ -244,7 +243,6 @@ def test_config_c_series():
     assert cfg.N == 4 and cfg.rank == 2 and cfg.zeta_order == 2
     assert cfg.q == P(1)
     assert cfg.z == ONE and cfg.z * cfg.z == ONE
-    assert FieldConfig.sp(1, z_choice=-1).z == MINUS_ONE
     assert cartan(cfg) == [[2, -2], [-1, 2]]
 
 
@@ -252,11 +250,9 @@ def test_config_rejects_bad_input():
     with pytest.raises(UnsupportedConfigError):
         FieldConfig.sl(1)
     with pytest.raises(UnsupportedConfigError):
-        FieldConfig("C", 3, 1)
+        FieldConfig("C", 3)
     with pytest.raises(UnsupportedConfigError):
-        FieldConfig("B", 3, 3)
-    with pytest.raises(UnsupportedConfigError):
-        FieldConfig("C", 2, 1, z_choice=2)
+        FieldConfig("B", 3)
     with pytest.raises(UnsupportedConfigError):
         FieldConfig.sl(MAX_N + 1)
     with pytest.raises(UnsupportedConfigError):
