@@ -453,6 +453,15 @@ def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None,
     in the gauge of `gauge` (see QuantumLieAlgebra), and each candidate is
     read in the same gauge: X_zeta'(v) as lie_rows(ws, v, zeta', degree,
     gauge), twisted by zeta' / gauge, with eps as eps_{gauge^-1}.
+
+    Candidates X_zeta'(v), of dimension dim(v)^2, are tried by dimension
+    descending, then zeta' by (order, index), then frame.  One is accepted
+    when all its rows lie in span(rows), of rank total, and raise the rank
+    of the components accepted so far by exactly its dimension.  Accepted
+    rows stay inside span(rows), so a candidate whose dimension exceeds the
+    rank still unmatched (total minus the accepted rank) cannot be
+    accepted, and its rows are never built.  That budget rule skips only
+    candidates the matching would reject, so reports do not change.
     """
     degree = dual.positive_or_default(degree, dual.CHECK_DEGREE, "degree")
     rows = [r for r in rows if r]
@@ -472,6 +481,8 @@ def classify(ws, rows, descriptor="", degree=None, frame_bound=2, basis=None,
     found = []
     found_echelon = []
     for dim2, _, frame, zeta, v in candidates:
+        if len(found_echelon) + dim2 > total:
+            continue
         cand_rows = [r for r in lie_rows(ws, v, zeta, degree, gauge).values() if r]
         if not all(linalg.in_row_space(big, r) for r in cand_rows):
             continue

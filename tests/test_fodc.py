@@ -531,6 +531,36 @@ def test_classify_json_deterministic(ws2):
     assert a == b
 
 
+@pytest.mark.parametrize("config, corep, zeta, reads", [
+    # rank 9: no 36-dimensional symmetric square fits, and once u@w is
+    # matched nothing does
+    (FieldConfig.sl(3), "u", "w",
+     ["minor:2@1", "u@1", "minor:2@zeta3^1", "u@zeta3^1"]),
+    # rank 10, filled as 9 + 1: after the symmetric square at -1 only the
+    # trivial frame fits
+    (FieldConfig.sl(2), "tensor(u,u)", "-1",
+     ["proj:sym(tensor(u,u))@1", "proj:sym(tensor(u,u))@-1", "1@-1"]),
+], ids=["sl3-u-w", "sl2-uu--1"])
+def test_classify_reads_only_candidates_that_fit(config, corep, zeta, reads, monkeypatch):
+    ws = Workspace(config)
+    zeta = parse_zeta(config, zeta)
+    v = ws.corep(corep)
+    rows = fodc.QuantumLieAlgebra(ws, v, zeta, zeta).rows(3)
+    want = oracles.classify_ungauged(ws, oracles.true_lie_rows(ws, v, zeta, 3), "X", 3)
+    read = []
+    lie_rows = fodc.lie_rows
+
+    def recorded(ws, v, zeta, degree, gauge):
+        read.append(f"{v.label}@{zeta}")
+        return lie_rows(ws, v, zeta, degree, gauge)
+
+    monkeypatch.setattr(fodc, "lie_rows", recorded)
+    got = fodc.classify(ws, rows, "X", 3, gauge=zeta)
+    assert read == reads
+    assert got.to_json() == want.to_json()
+    assert got.residual_rank == 0
+
+
 def _case(series, n, corep, zeta, dim, id=None):
     return pytest.param(series, n, corep, zeta, dim, id=id or f"{series}{n}-{corep}-{zeta}")
 

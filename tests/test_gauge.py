@@ -161,6 +161,18 @@ def test_candidates_outside_the_span_leave_the_same_residual(name, j):
         want = oracles.classify_ungauged(ws, true_rows, "X", d, frame_bound=bound)
         assert got.to_json() == want.to_json()
         assert got.residual_rank > 0
+    # X_zeta'(u) at a nontrivial zeta' with one row of X_1(u) added: the
+    # component fills part of the rank, and what is left holds no candidate
+    zc = all_admissible(ws.config)[1] if zeta.is_one() else zeta
+    v = ws.corep("u")
+    rows = (fodc.QuantumLieAlgebra(ws, v, zc, zeta).rows(d)
+            + fodc.QuantumLieAlgebra(ws, v, TRIVIAL, zeta).rows(d)[1:2])
+    true_rows = oracles.true_lie_rows(ws, v, zc, d) + oracles.true_lie_rows(ws, v, TRIVIAL, d)[1:2]
+    got = fodc.classify(ws, rows, "X", d, gauge=zeta)
+    want = oracles.classify_ungauged(ws, true_rows, "X", d)
+    assert got.to_json() == want.to_json()
+    assert [c.dim for c in got.components] == [v.dim * v.dim]
+    assert got.residual_rank > 0
 
 
 def _combination(ws, coeffs):
